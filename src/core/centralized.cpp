@@ -22,20 +22,17 @@ CentralizedSystem::Live* CentralizedSystem::find(TxnId id) {
 }
 
 void CentralizedSystem::on_arrival(std::size_t, txn::Transaction txn) {
-  submit_to_server(std::move(txn), 0);
+  submit_to_server(std::move(txn), {});
 }
 
 void CentralizedSystem::submit_to_server(txn::Transaction txn,
-                                         std::uint64_t attempt) {
+                                         fault::RetryLoop retry) {
   const sim::SimTime now = sim_.now();
   if (faults_active() && injector()->server_down(now)) {
-    const fault::FaultPlan& plan = injector()->plan();
-    const sim::SimTime restart = plan.server_restart_time(now);
-    if (restart.finite() &&
-        txn.deadline <= restart + config_.ce_txn_overhead) {
+    if (fault::outage_dooms(*injector(), now, txn.deadline,
+                            config_.ce_txn_overhead)) {
       // The outage alone outlasts the deadline: account the miss at the
       // terminal instead of shipping a transaction that cannot finish.
-      ++injector()->stats().deadline_early_aborts;
       txn.state = txn::TxnState::kMissed;
       if (tel_.events_enabled()) {
         tel_.event(obs::EventKind::kTxnMiss, now, txn.origin, txn.id);
@@ -45,17 +42,14 @@ void CentralizedSystem::submit_to_server(txn::Transaction txn,
     }
     // Hold the submit at the terminal until the server is back — jittered,
     // so the parked backlog does not arrive as one synchronized spike.
-    ++injector()->stats().outage_deferrals;
-    const sim::Duration gap = restart.finite() && restart > now
-                                  ? restart - now
-                                  : plan.request_timeout;
-    const std::uint64_t salt = (std::uint64_t{txn.origin.value()} << 40) ^
-                               (txn.id.value() << 8) ^ 3u;
-    sim_.after(gap + fault::outage_jitter(config_.seed, salt, attempt + 1,
-                                          plan.outage_jitter_bound),
-               [this, attempt, txn = std::move(txn)]() mutable {
-                 submit_to_server(std::move(txn), attempt + 1);
-               });
+    const sim::Duration delay = retry.defer(
+        *injector(), now,
+        fault::retry_salt(txn.origin.value(), txn.id.value(),
+                          fault::RetryTag::kSubmit),
+        injector()->plan().request_timeout);
+    sim_.after(delay, [this, retry, txn = std::move(txn)]() mutable {
+      submit_to_server(std::move(txn), retry);
+    });
     return;
   }
   // Terminal -> server: the transaction travels as a message; execution is

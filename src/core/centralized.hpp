@@ -60,8 +60,9 @@ class CentralizedSystem final : public System {
   /// Terminal-side submit with outage awareness: while the server is down
   /// the submit is held back (jittered past the projected restart) or — when
   /// the outage alone outlasts the deadline — accounted as a miss at the
-  /// terminal without ever hitting the wire.
-  void submit_to_server(txn::Transaction txn, std::uint64_t attempt);
+  /// terminal without ever hitting the wire. `retry` travels with the held
+  /// submit and numbers its deferrals.
+  void submit_to_server(txn::Transaction txn, fault::RetryLoop retry);
 
   /// Transaction admitted at the server (after the submit message and the
   /// serial per-transaction overhead).

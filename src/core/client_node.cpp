@@ -103,9 +103,7 @@ void ClientNode::crash() {
     if (sys_.telemetry().spans_enabled()) {
       sys_.telemetry().txn_end(id, obs::Outcome::kMissed, now);
     }
-    const bool origin_owned = !live->remote && !live->is_subtask &&
-                              live->spec_parent == kInvalidTxn;
-    if (origin_owned) sys_.note_miss(live->t);
+    if (!live->remote && !live->is_subtask) sys_.note_miss(live->t);
   }
   live_.clear();
   ready_.clear();
@@ -125,12 +123,6 @@ void ClientNode::crash() {
     sys_.note_miss(rec.t);
   }
   parents_.clear();
-  for (auto& [id, rec] : spec_) {
-    (void)id;
-    sys_.sim().cancel(rec.deadline_timer);
-    sys_.note_miss(rec.t);
-  }
-  spec_.clear();
 
   // Dirty returns still awaiting their ack: the retransmission state dies
   // with the site, so those versions are lost for good — account them.
@@ -173,7 +165,6 @@ void ClientNode::on_server_crash() {
   if (crashed_) return;  // nothing here survives anyway
   const fault::FaultPlan& plan = sys_.injector()->plan();
   if (plan.warm_standby) return;  // promotion is moments away: leases hold
-  auto& stats = sys_.injector()->stats();
   const sim::SimTime now = sys_.sim().now();
 
   // Travelling forward duties are orphaned: the server's circulation state
@@ -210,22 +201,16 @@ void ClientNode::on_server_crash() {
   // Deadline-aware early abort: a transaction blocked on the dead server
   // whose deadline cannot outlive the outage plus one request round trip
   // has no path to commit — miss it now instead of wasting retransmissions.
-  const sim::SimTime restart = plan.server_restart_time(now);
-  if (restart.finite()) {
-    const sim::SimTime horizon = restart + plan.request_timeout;
-    std::vector<TxnId> doomed;
-    for (const auto& [id, live] : live_) {
-      if (txn::is_live(live->t.state) && !live->awaiting.empty() &&
-          live->t.deadline <= horizon) {
-        doomed.push_back(id);
-      }
-    }
-    std::sort(doomed.begin(), doomed.end());
-    for (TxnId id : doomed) {
-      ++stats.deadline_early_aborts;
-      finish(id, txn::TxnState::kMissed);
+  std::vector<TxnId> doomed;
+  for (const auto& [id, live] : live_) {
+    if (txn::is_live(live->t.state) && !live->awaiting.empty() &&
+        fault::outage_dooms(*sys_.injector(), now, live->t.deadline,
+                            plan.request_timeout)) {
+      doomed.push_back(id);
     }
   }
+  std::sort(doomed.begin(), doomed.end());
+  for (TxnId id : doomed) finish(id, txn::TxnState::kMissed);
 }
 
 void ClientNode::on_server_restart(bool failover) {
@@ -280,35 +265,22 @@ void ClientNode::arm_reassert_retry(sim::Duration delay) {
 
 void ClientNode::reassert_timer_fired() {
   if (crashed_ || reassert_.entries.empty()) return;
-  auto& stats = sys_.injector()->stats();
-  const fault::FaultPlan& plan = sys_.injector()->plan();
-  const sim::SimTime now = sys_.sim().now();
-  if (sys_.injector()->server_down(now)) {
-    // A second crash overtook the rebuild. Defer past the projected
-    // restart (jittered, so the fleet does not stampede the new
-    // incarnation) without spending the retransmit budget.
-    ++stats.outage_deferrals;
-    const sim::SimTime restart = plan.server_restart_time(now);
-    const sim::Duration gap = restart.finite() && restart > now
-                                  ? restart - now
-                                  : plan.request_timeout;
-    arm_reassert_retry(gap + fault::outage_jitter(
-                                 sys_.cfg().seed, id_.value(),
-                                 ++reassert_.deferrals,
-                                 plan.outage_jitter_bound));
+  // A second crash overtaking the rebuild defers the retry; a spent budget
+  // means the ack never came: every outstanding lease is gone.
+  const sim::Duration timeout = sys_.injector()->plan().request_timeout;
+  if (!reassert_.retry.fire(
+          *sys_.injector(), sys_.sim().now(), id_.value(), timeout,
+          [this](sim::Duration delay) { arm_reassert_retry(delay); },
+          [this] {
+            std::vector<ReassertEntry> dead = std::move(reassert_.entries);
+            reassert_.entries.clear();
+            reassert_.timer = sim::kNoEvent;
+            for (const auto& e : dead) expire_lease(e.object);
+          })) {
     return;
   }
-  if (reassert_.tries >= plan.max_retransmits) {
-    // The ack never came: every outstanding lease is gone.
-    std::vector<ReassertEntry> dead = std::move(reassert_.entries);
-    reassert_.entries.clear();
-    reassert_.timer = sim::kNoEvent;
-    for (const auto& e : dead) expire_lease(e.object);
-    return;
-  }
-  ++reassert_.tries;
   send_reassert(/*retransmit=*/true);
-  arm_reassert_retry(plan.request_timeout);
+  arm_reassert_retry(timeout);
 }
 
 void ClientNode::late_reassert(ObjectId obj) {
@@ -337,7 +309,7 @@ void ClientNode::late_reassert(ObjectId obj) {
       id_, net::kServer, 1,
       [this, batch = std::move(batch)] { sys_.server().on_reassert(batch); });
   if (reassert_.timer == sim::kNoEvent) {
-    reassert_.tries = 0;
+    reassert_.retry.restart_budget();
     arm_reassert_retry(sys_.injector()->plan().request_timeout);
   }
 }
@@ -407,65 +379,49 @@ void ClientNode::send_return(ObjectReturn ret) {
     PendingReturn rec;
     rec.ret = ret;
     pending_returns_[ret.object] = std::move(rec);
-    arm_return_retry(ret.object);
+    arm_return_retry(ret.object, sys_.injector()->plan().return_timeout);
   }
   sys_.net().send<net::MessageKind::kObjectReturn>(
       id_, net::kServer, [this, ret] { sys_.server().on_object_return(ret); });
 }
 
-void ClientNode::arm_return_retry(ObjectId obj) {
+void ClientNode::arm_return_retry(ObjectId obj, sim::Duration delay) {
   auto it = pending_returns_.find(obj);
   if (it == pending_returns_.end()) return;
   it->second.timer =
-      sys_.sim().after(sys_.injector()->plan().return_timeout,
-                       [this, obj] { return_retry_fired(obj); });
+      sys_.sim().after(delay, [this, obj] { return_retry_fired(obj); });
 }
 
 void ClientNode::return_retry_fired(ObjectId obj) {
   auto pit = pending_returns_.find(obj);
   if (pit == pending_returns_.end() || crashed_) return;
-  PendingReturn& rec = pit->second;
-  const fault::FaultPlan& plan = sys_.injector()->plan();
-  const sim::SimTime now = sys_.sim().now();
-  if (sys_.injector()->server_down(now)) {
-    // The server is inside a crash window: every retransmission would be a
-    // guaranteed drop charged against the bounded budget — and losing the
-    // budget here turns a survivable outage into a version loss. Defer
-    // (jittered) past the projected restart instead.
-    ++sys_.injector()->stats().outage_deferrals;
-    const sim::SimTime restart = plan.server_restart_time(now);
-    const sim::Duration gap = restart.finite() && restart > now
-                                  ? restart - now
-                                  : plan.return_timeout;
-    const std::uint64_t salt = (std::uint64_t{id_.value()} << 40) ^
-                               (std::uint64_t{obj.value()} << 8) ^ 1u;
-    rec.timer = sys_.sim().after(
-        gap + fault::outage_jitter(sys_.cfg().seed, salt, ++rec.deferrals,
-                                   plan.outage_jitter_bound),
-        [this, obj] { return_retry_fired(obj); });
+  // During a server outage every retransmission would be a guaranteed drop,
+  // and losing the budget to one turns a survivable outage into a version
+  // loss: those firings defer. A budget spent while the server is up (a
+  // long partition) means the server never heard us and the version this
+  // copy carried is gone — account it so the consistency ledger stays
+  // truthful instead of silently diverging.
+  const sim::Duration timeout = sys_.injector()->plan().return_timeout;
+  if (!pit->second.retry.fire(
+          *sys_.injector(), sys_.sim().now(),
+          fault::retry_salt(id_.value(), obj.value(), fault::RetryTag::kReturn),
+          timeout, [&](sim::Duration delay) { arm_return_retry(obj, delay); },
+          [&] {
+            pending_returns_.erase(pit);
+            sys_.accounted_loss(obj);
+          })) {
     return;
   }
-  if (rec.tries >= plan.max_retransmits) {
-    // Budget spent (a long partition): the server never heard us and
-    // the version this copy carried is gone — account it so the
-    // consistency ledger stays truthful instead of silently
-    // diverging.
-    const ObjectId lost = obj;
-    pending_returns_.erase(pit);
-    sys_.accounted_loss(lost);
-    return;
-  }
-  ++rec.tries;
   ++sys_.injector()->stats().return_retransmits;
   if (sys_.telemetry().events_enabled()) {
     sys_.telemetry().event(obs::EventKind::kRetransmit, sys_.sim().now(),
                            site_, kInvalidTxn, obj);
   }
-  const ObjectReturn ret = rec.ret;
+  const ObjectReturn ret = pit->second.ret;
   sys_.net().send<net::MessageKind::kObjectReturn>(
       id_, net::kServer,
       [this, ret] { sys_.server().on_object_return(ret); });
-  arm_return_retry(obj);
+  arm_return_retry(obj, timeout);
 }
 
 void ClientNode::warm_insert(ObjectId obj) {
@@ -677,18 +633,6 @@ void ClientNode::decide_placement(Live& live, const LocationReply& reply) {
   }
 
   if (ship) {
-    if (conflict_phase && sys_.ls().enable_speculation &&
-        !live.is_subtask && !live.remote) {
-      // Speculation extension: run the race instead of choosing. The
-      // local contender proceeds (parked batch resumed) while a copy
-      // ships to the better site; first to the commit point wins.
-      ProceedDecision d{live.t.id, id_, /*proceed=*/true, current_load()};
-      sys_.net().send<net::MessageKind::kControl>(
-          id_, net::kServer,
-          [this, d] { sys_.server().on_proceed_decision(d); });
-      launch_speculation(live, best->client);
-      return;
-    }
     if (conflict_phase) {
       ++sys_.live_metrics().h2_ships;
     } else {
@@ -766,155 +710,7 @@ void ClientNode::on_shipped_txn(ShippedTxn shipped) {
                 if (crashed_) return;
                 begin(shipped.t, site_of(shipped.origin), /*remote=*/true,
                       shipped.ships);
-                if (shipped.spec_of != kInvalidTxn) {
-                  if (Live* l = find(shipped.t.id)) {
-                    l->spec_parent = shipped.spec_of;
-                  }
-                }
               });
-}
-
-// ---------------------------------------------------------------------------
-// Speculation (extension)
-// ---------------------------------------------------------------------------
-
-void ClientNode::net_send_spec_request(ClientId origin, TxnId orig,
-                                       TxnId copy_id) {
-  sys_.net().send<net::MessageKind::kControl>(
-      id_, origin, [this, origin, orig, copy_id] {
-        sys_.client(origin).on_spec_commit_request(orig, id_, copy_id);
-      });
-}
-
-void ClientNode::launch_speculation(Live& live, ClientId to) {
-  const TxnId orig = live.t.id;
-  // One copy at a time: a restarted contender keeps racing the copy it
-  // already shipped instead of spawning more.
-  if (spec_.count(orig) != 0) return;
-  ++sys_.live_metrics().spec_launched;
-  live.spec_parent = orig;  // the origin-side contender races too
-  if (sys_.telemetry().events_enabled()) {
-    sys_.telemetry().event(obs::EventKind::kSpecLaunch, sys_.sim().now(),
-                           site_, orig, ObjectId{}, site_of(to).value());
-  }
-
-  Spec rec;
-  rec.t = live.t;
-  rec.deadline_timer = sys_.sim().at(
-      rec.t.deadline, [this, orig] { handle_spec_deadline(orig); });
-  spec_.emplace(orig, std::move(rec));
-
-  ShippedTxn msg;
-  msg.t = live.t;
-  msg.t.id = sys_.fresh_txn_id();  // distinct identity at the other site
-  msg.t.state = txn::TxnState::kPending;
-  msg.origin = id_;
-  msg.ships = sys_.ls().max_ships;  // the copy must not ship onward
-  msg.spec_of = orig;
-  sys_.net().send<net::MessageKind::kTxnShip>(
-      id_, to, [this, to, msg = std::move(msg)] {
-        sys_.client(to).on_shipped_txn(msg);
-      });
-}
-
-bool ClientNode::spec_claim(TxnId orig, bool local) {
-  auto it = spec_.find(orig);
-  if (it == spec_.end()) return false;  // race already resolved
-  Spec& s = it->second;
-  const auto side = local ? Spec::Winner::kLocal : Spec::Winner::kRemote;
-  const bool claimed =
-      s.winner == Spec::Winner::kOpen ? (s.winner = side, true)
-                                      : s.winner == side;
-  if (sys_.trace().enabled(sim::TraceCategory::kSpec)) {
-    sys_.trace().emitf(sys_.sim().now(), sim::TraceCategory::kSpec, site_,
-                       "spec claim txn=%llu by %s -> %s",
-                       static_cast<unsigned long long>(orig.value()),
-                       local ? "local" : "remote",
-                       claimed ? "granted" : "denied");
-  }
-  return claimed;
-}
-
-void ClientNode::spec_report(TxnId orig, bool local, bool success) {
-  auto it = spec_.find(orig);
-  if (it == spec_.end()) return;  // already resolved
-  Spec& s = it->second;
-  if (success) {
-    sys_.sim().cancel(s.deadline_timer);
-    if (sys_.sim().now() <= s.t.deadline) {
-      sys_.note_commit(s.t, sys_.sim().now());
-      if (local) {
-        // The contender's own commit already fed the ATL estimator.
-        ++sys_.live_metrics().spec_local_wins;
-      } else {
-        ++sys_.live_metrics().spec_remote_wins;
-        update_atl(s.t, sys_.sim().now());
-      }
-    } else {
-      // The winning copy's confirmation crossed the deadline in flight.
-      sys_.note_miss(s.t);
-    }
-    spec_.erase(it);
-    spec_kill_contender(orig);
-    return;
-  }
-  (local ? s.local_failed : s.remote_failed) = true;
-  // A claimant that subsequently failed reopens the race for the other.
-  const auto side = local ? Spec::Winner::kLocal : Spec::Winner::kRemote;
-  if (s.winner == side) s.winner = Spec::Winner::kOpen;
-  if (s.local_failed && s.remote_failed) {
-    sys_.sim().cancel(s.deadline_timer);
-    sys_.note_miss(s.t);
-    spec_.erase(it);
-  }
-}
-
-void ClientNode::spec_kill_contender(TxnId orig) {
-  // The race is over: a still-running local contender would be wasted work
-  // — and a restarted one could re-launch speculation for a transaction
-  // whose outcome is already recorded.
-  Live* l = find(orig);
-  if (l && txn::is_live(l->t.state)) {
-    finish(orig, txn::TxnState::kAborted);
-  }
-}
-
-void ClientNode::handle_spec_deadline(TxnId orig) {
-  auto it = spec_.find(orig);
-  if (it == spec_.end()) return;
-  Spec& s = it->second;
-  // A remote claimant may have committed just before the deadline with its
-  // confirmation still in flight; let the report settle the outcome.
-  if (s.winner == Spec::Winner::kRemote && !s.remote_failed) return;
-  sys_.note_miss(s.t);
-  spec_.erase(it);
-  spec_kill_contender(orig);
-}
-
-void ClientNode::on_spec_commit_request(TxnId orig, ClientId from,
-                                        TxnId copy_id) {
-  cpu_.submit(sys_.cfg().client_msg_overhead, [this, orig, from, copy_id] {
-    if (crashed_) return;
-    const bool granted = spec_claim(orig, /*local=*/false);
-    sys_.net().send<net::MessageKind::kControl>(
-        id_, from, [this, from, copy_id, granted] {
-          sys_.client(from).on_spec_commit_reply(copy_id, granted);
-        });
-  });
-}
-
-void ClientNode::on_spec_commit_reply(TxnId copy_id, bool granted) {
-  cpu_.submit(sys_.cfg().client_msg_overhead, [this, copy_id, granted] {
-    Live* live = find(copy_id);
-    if (!live || !txn::is_live(live->t.state)) return;
-    live->commit_arbitration_pending = false;
-    if (!granted) {
-      finish(copy_id, txn::TxnState::kAborted);
-      return;
-    }
-    live->commit_granted = true;
-    commit(copy_id);
-  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1019,10 +815,6 @@ void ClientNode::on_shipped_subtask(ShippedSubtask shipped) {
 void ClientNode::on_remote_result(RemoteResult result) {
   cpu_.submit(sys_.cfg().client_msg_overhead, [this, result] {
     if (crashed_) return;
-    if (result.spec) {
-      spec_report(result.id, /*local=*/false, result.success);
-      return;
-    }
     if (result.is_subtask) {
       auto it = parents_.find(result.id);
       if (it == parents_.end()) return;  // already resolved (miss/failure)
@@ -1178,21 +970,17 @@ void ClientNode::evaluate_objects(TxnId id) {
     const bool srv_down =
         sys_.faults_active() &&
         sys_.injector()->server_down(sys_.sim().now());
-    if (srv_down && !sys_.injector()->plan().warm_standby) {
-      // Grace-rebuild mode: the needs sent now park behind an outage plus
-      // the grace window. When the transaction's slack cannot absorb that
-      // whole detour, abort immediately — the miss is inevitable and the
-      // early exit frees its local locks for transactions that can still
-      // make it.
-      const fault::FaultPlan& plan = sys_.injector()->plan();
-      const sim::SimTime restart =
-          plan.server_restart_time(sys_.sim().now());
-      if (restart.finite() &&
-          live->t.deadline <= restart + plan.request_timeout) {
-        ++sys_.injector()->stats().deadline_early_aborts;
-        finish(id, txn::TxnState::kMissed);
-        return;
-      }
+    // Grace-rebuild mode: the needs sent now park behind an outage plus
+    // the grace window. When the transaction's slack cannot absorb that
+    // whole detour, abort immediately — the miss is inevitable and the
+    // early exit frees its local locks for transactions that can still
+    // make it.
+    if (srv_down && !sys_.injector()->plan().warm_standby &&
+        fault::outage_dooms(*sys_.injector(), sys_.sim().now(),
+                            live->t.deadline,
+                            sys_.injector()->plan().request_timeout)) {
+      finish(id, txn::TxnState::kMissed);
+      return;
     }
     // Client-side prefilter for the H2 detour: when this client already
     // caches most of the transaction's data, no other site can come out
@@ -1244,47 +1032,34 @@ void ClientNode::send_batch(Live& live, const std::vector<ObjectNeed>& missing,
       id_, net::kServer, missing.size(), [this, batch = std::move(batch)] {
         sys_.server().on_request_batch(batch);
       });
-  if (sys_.faults_active()) arm_request_retry(live.t.id);
+  if (sys_.faults_active()) {
+    arm_request_retry(live.t.id, sys_.injector()->plan().request_timeout);
+  }
 }
 
-void ClientNode::arm_request_retry(TxnId id) {
+void ClientNode::arm_request_retry(TxnId id, sim::Duration delay) {
   Live* live = find(id);
   if (!live) return;
   sys_.sim().cancel(live->retry_timer);
   const std::uint32_t epoch = live->epoch;
-  live->retry_timer =
-      sys_.sim().after(sys_.injector()->plan().request_timeout,
-                       [this, id, epoch] { request_retry_fired(id, epoch); });
+  live->retry_timer = sys_.sim().after(
+      delay, [this, id, epoch] { request_retry_fired(id, epoch); });
 }
 
 void ClientNode::request_retry_fired(TxnId id, std::uint32_t epoch) {
   Live* l = find(id);
   if (!l || l->epoch != epoch || !txn::is_live(l->t.state)) return;
   if (l->awaiting.empty()) return;  // everything arrived meanwhile
-  const fault::FaultPlan& plan = sys_.injector()->plan();
-  const sim::SimTime now = sys_.sim().now();
-  if (sys_.injector()->server_down(now)) {
-    // Outage-aware backoff: retransmitting into a crashed server burns the
-    // bounded budget on guaranteed drops. Defer past the projected restart
-    // — jittered, so the whole fleet's retries do not land on the fresh
-    // incarnation in one spike — without charging the budget.
-    ++sys_.injector()->stats().outage_deferrals;
-    const sim::SimTime restart = plan.server_restart_time(now);
-    const sim::Duration gap = restart.finite() && restart > now
-                                  ? restart - now
-                                  : plan.request_timeout;
-    const std::uint64_t salt = (std::uint64_t{id_.value()} << 40) ^
-                               (id.value() << 8) ^ 2u;
-    l->retry_timer = sys_.sim().after(
-        gap + fault::outage_jitter(sys_.cfg().seed, salt, ++l->outage_attempts,
-                                   plan.outage_jitter_bound),
-        [this, id, epoch] { request_retry_fired(id, epoch); });
+  // Retransmitting into a crashed server burns the budget on guaranteed
+  // drops, so firings during an outage defer. A spent budget needs no
+  // action: the deadline timer accounts the miss.
+  if (!l->retry.fire(
+          *sys_.injector(), sys_.sim().now(),
+          fault::retry_salt(id_.value(), id.value(), fault::RetryTag::kRequest),
+          sys_.injector()->plan().request_timeout,
+          [&](sim::Duration delay) { arm_request_retry(id, delay); }, [] {})) {
     return;
   }
-  if (l->req_retries >= plan.max_retransmits) {
-    return;  // budget spent: the deadline timer accounts the miss
-  }
-  ++l->req_retries;
   ++sys_.injector()->stats().retransmits;
   if (sys_.telemetry().events_enabled()) {
     sys_.telemetry().event(obs::EventKind::kRetransmit, sys_.sim().now(),
@@ -1367,26 +1142,6 @@ void ClientNode::commit(TxnId id) {
   Live* live = find(id);
   assert(live && live->t.state == txn::TxnState::kExecuting);
 
-  // Speculation arbitration precedes the commit (extension): exactly one
-  // of the two racing copies may apply its effects.
-  if (live->spec_parent != kInvalidTxn) {
-    if (!live->remote) {
-      // Origin-side contender: synchronous claim.
-      if (!spec_claim(live->spec_parent, /*local=*/true)) {
-        finish(id, txn::TxnState::kAborted);
-        return;
-      }
-    } else if (!live->commit_granted) {
-      // Shipped copy: ask the origin; the executor slot stays occupied for
-      // the short round trip, the reply re-enters through commit().
-      if (live->commit_arbitration_pending) return;
-      live->commit_arbitration_pending = true;
-      const TxnId orig = live->spec_parent;
-      net_send_spec_request(client_of(live->origin), orig, id);
-      return;
-    }
-  }
-
   // Updates dirty the cached copies (write-back happens on recall, forward,
   // or eviction — inter-transaction caching keeps them here). Every access
   // reports the version it used to the consistency auditor.
@@ -1440,14 +1195,10 @@ void ClientNode::finish(TxnId id, txn::TxnState final_state) {
   sys_.sim().cancel(live->deadline_timer);
   sys_.sim().cancel(live->retry_timer);
 
-  // The origin-side speculation contender shares the original's id; its
-  // local outcome must not close the original's span — the arbitration
-  // record decides that through the note_* chokepoints.
-  const bool owns_span = !(live->spec_parent != kInvalidTxn && !live->remote);
-  if (owns_span && sys_.telemetry().spans_enabled()) {
+  if (sys_.telemetry().spans_enabled()) {
     // Closes spans that never reach a System::record_* chokepoint
-    // (sub-tasks, speculation copies); for the rest the later chokepoint
-    // call is an idempotent no-op with the same instant and outcome.
+    // (sub-tasks); for the rest the later chokepoint call is an
+    // idempotent no-op with the same instant and outcome.
     const obs::Outcome o = final_state == txn::TxnState::kCommitted
                                ? obs::Outcome::kCommitted
                            : final_state == txn::TxnState::kMissed
@@ -1466,23 +1217,7 @@ void ClientNode::finish(TxnId id, txn::TxnState final_state) {
 
   // Outcome reporting: the origin owns the accounting.
   const bool success = final_state == txn::TxnState::kCommitted;
-  if (live->spec_parent != kInvalidTxn) {
-    // Speculation contender/copy: the arbitration record at the origin
-    // owns the original's outcome.
-    if (!live->remote) {
-      spec_report(live->spec_parent, /*local=*/true, success);
-    } else {
-      RemoteResult result;
-      result.id = live->spec_parent;
-      result.success = success;
-      result.spec = true;
-      sys_.net().send<net::MessageKind::kTxnResult>(
-          id_, client_of(live->origin),
-          [this, origin = client_of(live->origin), result] {
-            sys_.client(origin).on_remote_result(result);
-          });
-    }
-  } else if (live->is_subtask) {
+  if (live->is_subtask) {
     RemoteResult result;
     result.id = live->parent;
     result.subtask_index = live->subtask_index;

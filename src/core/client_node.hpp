@@ -6,6 +6,7 @@
 
 #include "common/dense_map.hpp"
 #include "core/protocol.hpp"
+#include "fault/fault.hpp"
 #include "lock/local_lock_manager.hpp"
 #include "sim/resource.hpp"
 #include "sim/stats.hpp"
@@ -82,9 +83,6 @@ class ClientNode {
   void on_recall(Recall r);
   void on_location_reply(LocationReply reply);
   void on_shipped_txn(ShippedTxn shipped);
-  /// Speculation arbitration traffic (kControl messages).
-  void on_spec_commit_request(TxnId orig, ClientId from, TxnId copy_id);
-  void on_spec_commit_reply(TxnId copy_id, bool granted);
   void on_shipped_subtask(ShippedSubtask shipped);
   void on_remote_result(RemoteResult result);
   void on_denied(TxnId txn);           ///< server deadlock refusal
@@ -153,17 +151,8 @@ class ClientNode {
     std::uint32_t restarts = 0;
 
     /// Bounded retransmission of the outstanding request batch (faults).
-    std::uint32_t req_retries = 0;
+    fault::RetryLoop retry;
     sim::EventId retry_timer = sim::kNoEvent;
-    /// Server-outage deferrals of that timer (jitter salt; budget-free).
-    std::uint32_t outage_attempts = 0;
-
-    /// Speculation extension: the original transaction this copy contends
-    /// for (set on both the origin-side contender and the shipped copy).
-    TxnId spec_parent = kInvalidTxn;
-    /// Remote copies only: the origin granted this copy the commit.
-    bool commit_granted = false;
-    bool commit_arbitration_pending = false;
   };
 
   /// A decomposed original awaiting its sub-tasks.
@@ -176,17 +165,6 @@ class ClientNode {
   /// A transaction shipped away, awaiting its result.
   struct Shipped {
     txn::Transaction t;
-    sim::EventId deadline_timer = sim::kNoEvent;
-  };
-
-  /// Speculation arbitration record (origin side): two copies race to the
-  /// commit point; exactly one outcome is recorded for the original.
-  struct Spec {
-    txn::Transaction t;
-    enum class Winner : std::uint8_t { kOpen, kLocal, kRemote };
-    Winner winner = Winner::kOpen;
-    bool local_failed = false;
-    bool remote_failed = false;
     sim::EventId deadline_timer = sim::kNoEvent;
   };
 
@@ -209,7 +187,7 @@ class ClientNode {
   void send_batch(Live& live, const std::vector<ObjectNeed>& missing,
                   bool auto_proceed, bool retransmit = false);
   /// Arms the bounded request-retransmission timer (faults-active only).
-  void arm_request_retry(TxnId id);
+  void arm_request_retry(TxnId id, sim::Duration delay);
   /// Timer body: retransmits, or defers past a server outage (budget-free).
   void request_retry_fired(TxnId id, std::uint32_t epoch);
   void need_satisfied(TxnId id, ObjectId obj);
@@ -233,21 +211,6 @@ class ClientNode {
   void ship_txn(TxnId id, ClientId to);
 
   // --- callbacks / duties -----------------------------------------------
-  // --- speculation (extension) --------------------------------------------
-  /// Launches the dual-site race: keeps the local contender and ships a
-  /// speculative copy to `to`.
-  void launch_speculation(Live& live, ClientId to);
-  /// Arbitration: may `local`/remote commit the original? First claimant
-  /// wins; idempotent for the holder.
-  bool spec_claim(TxnId orig, bool local);
-  /// Terminal report from one side; records the original's outcome when
-  /// the race resolves.
-  void spec_report(TxnId orig, bool local, bool success);
-  void handle_spec_deadline(TxnId orig);
-  /// Aborts a still-live local contender once the race has resolved.
-  void spec_kill_contender(TxnId orig);
-  void net_send_spec_request(ClientId origin, TxnId orig, TxnId copy_id);
-
   void process_recall(ObjectId obj, lock::LockMode wanted);
   void check_deferred_recalls(const std::vector<ObjectId>& objs);
   void fulfil_forward_duty(ObjectId obj);
@@ -259,7 +222,7 @@ class ClientNode {
   /// is tracked until the server acknowledges it, retransmitted on timeout,
   /// and accounted as a lost version when the budget runs dry.
   void send_return(ObjectReturn ret);
-  void arm_return_retry(ObjectId obj);
+  void arm_return_retry(ObjectId obj, sim::Duration delay);
   void return_retry_fired(ObjectId obj);
 
   // --- epoch-leased re-assertion (server crash recovery) ------------------
@@ -307,15 +270,13 @@ class ClientNode {
   std::unordered_map<TxnId, std::unique_ptr<Live>> live_;
   std::unordered_map<TxnId, Parent> parents_;
   std::unordered_map<TxnId, Shipped> shipped_;
-  std::unordered_map<TxnId, Spec> spec_;
   std::unordered_map<ObjectId, ForwardDuty> duties_;
   std::unordered_map<ObjectId, lock::LockMode> deferred_recalls_;
 
   /// Unacknowledged dirty returns awaiting the server's ack (faults only).
   struct PendingReturn {
     ObjectReturn ret;
-    std::uint32_t tries = 0;
-    std::uint32_t deferrals = 0;
+    fault::RetryLoop retry;
     sim::EventId timer = sim::kNoEvent;
   };
   std::unordered_map<ObjectId, PendingReturn> pending_returns_;
@@ -334,8 +295,7 @@ class ClientNode {
   /// request timeout, bounded by the plan's retransmit budget.
   struct PendingReassert {
     std::vector<ReassertEntry> entries;
-    std::uint32_t tries = 0;
-    std::uint32_t deferrals = 0;
+    fault::RetryLoop retry;
     sim::EventId timer = sim::kNoEvent;
   };
   PendingReassert reassert_;

@@ -79,15 +79,6 @@ struct LsOptions {
   /// Without it, forward lists group only exclusive runs.
   bool parallel_shared_grants = true;
 
-  /// Extension (paper §7 future work, after Bestavros & Braoudakis):
-  /// *speculative* conflict handling. When H2 identifies a better site for
-  /// a conflicted transaction, run it at BOTH sites; the first copy to
-  /// reach its commit point wins an arbitration at the origin and the
-  /// loser is discarded. Doubles the resources spent on conflicted
-  /// transactions in exchange for min(two completion paths). Not part of
-  /// the paper's LS system — off in LsOptions::all().
-  bool enable_speculation = false;
-
   /// Everything on — the paper's LS-CS-RTDBS.
   static LsOptions all() {
     LsOptions o;

@@ -86,11 +86,6 @@ struct RunMetrics {
   std::uint64_t occ_validations = 0;  ///< commit-time validations performed
   std::uint64_t occ_rejections = 0;   ///< validations that failed (restarts)
 
-  // --- speculative extension (LS + enable_speculation) ------------------------
-  std::uint64_t spec_launched = 0;     ///< transactions run at two sites
-  std::uint64_t spec_local_wins = 0;   ///< origin copy reached commit first
-  std::uint64_t spec_remote_wins = 0;  ///< shipped copy reached commit first
-
   /// Sanity: generated == committed + missed + aborted once drained.
   [[nodiscard]] bool accounted() const {
     return generated == committed + missed + aborted;

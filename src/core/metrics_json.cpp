@@ -176,9 +176,6 @@ void write_metrics_json(std::ostream& os, const std::string& system,
      << ", \"consistency_violations\": " << last.consistency_violations
      << ",\n    \"occ_validations\": " << last.occ_validations
      << ", \"occ_rejections\": " << last.occ_rejections
-     << ",\n    \"spec_launched\": " << last.spec_launched
-     << ", \"spec_local_wins\": " << last.spec_local_wins
-     << ", \"spec_remote_wins\": " << last.spec_remote_wins
      << ",\n    \"server_cpu_utilization\": ";
   json_number(os, last.server_cpu_utilization);
   os << ", \"server_disk_utilization\": ";

@@ -91,25 +91,17 @@ void OptimisticSystem::begin_attempt(TxnId id) {
       // the attempt would strand until its deadline). Either the deadline
       // cannot survive the outage — account the miss now — or the attempt
       // is deferred, jittered, past the projected restart.
-      const fault::FaultPlan& plan = injector()->plan();
-      const sim::SimTime now = sim_.now();
-      const sim::SimTime restart = plan.server_restart_time(now);
-      if (restart.finite() &&
-          live->t.deadline <= restart + plan.request_timeout) {
-        ++injector()->stats().deadline_early_aborts;
+      const sim::Duration timeout = injector()->plan().request_timeout;
+      if (fault::outage_dooms(*injector(), sim_.now(), live->t.deadline,
+                              timeout)) {
         finish(id, txn::TxnState::kMissed);
         return;
       }
-      ++injector()->stats().outage_deferrals;
-      const sim::Duration gap = restart.finite() && restart > now
-                                    ? restart - now
-                                    : plan.request_timeout;
-      const std::uint64_t salt =
-          (std::uint64_t{live->t.origin.value()} << 40) ^
-          (id.value() << 8) ^ 4u;
-      sim_.after(gap + fault::outage_jitter(config_.seed, salt,
-                                            ++live->outage_attempts,
-                                            plan.outage_jitter_bound),
+      sim_.after(live->retry.defer(*injector(), sim_.now(),
+                                   fault::retry_salt(live->t.origin.value(),
+                                                     id.value(),
+                                                     fault::RetryTag::kFetch),
+                                   timeout),
                  [this, id, epoch] {
                    Live* l = find(id);
                    if (!l || l->epoch != epoch ||
@@ -244,7 +236,7 @@ void OptimisticSystem::validate(TxnId id) {
   Live* live = find(id);
   if (!live || !txn::is_live(live->t.state)) return;
   live->t.state = txn::TxnState::kAcquiring;  // awaiting the verdict
-  live->val_retries = 0;
+  live->retry.restart_budget();
   send_validate(*live);
 }
 
@@ -276,11 +268,15 @@ void OptimisticSystem::send_validate(Live& live) {
   if (!faults_active()) return;
   // A lost request or verdict must not strand the commit point until the
   // deadline: retransmit (bounded); the server answers idempotently.
+  arm_validate_retry(live, injector()->plan().request_timeout);
+}
+
+void OptimisticSystem::arm_validate_retry(Live& live, sim::Duration delay) {
   sim_.cancel(live.val_timer);
+  const TxnId id = live.t.id;
   const std::uint32_t epoch = live.epoch;
-  live.val_timer =
-      sim_.after(injector()->plan().request_timeout,
-                 [this, id, epoch] { validate_retry_fired(id, epoch); });
+  live.val_timer = sim_.after(
+      delay, [this, id, epoch] { validate_retry_fired(id, epoch); });
 }
 
 void OptimisticSystem::validate_retry_fired(TxnId id, std::uint32_t epoch) {
@@ -288,27 +284,17 @@ void OptimisticSystem::validate_retry_fired(TxnId id, std::uint32_t epoch) {
   // Same epoch + still live means the verdict never arrived (an accept
   // erases the record, a reject bumps the epoch).
   if (!l || l->epoch != epoch || !txn::is_live(l->t.state)) return;
-  const fault::FaultPlan& plan = injector()->plan();
-  const sim::SimTime now = sim_.now();
-  if (injector()->server_down(now)) {
-    // Retransmitting the commit point into a crashed server is a
-    // guaranteed drop: defer past the projected restart (jittered),
-    // without spending the bounded budget.
-    ++injector()->stats().outage_deferrals;
-    const sim::SimTime restart = plan.server_restart_time(now);
-    const sim::Duration gap = restart.finite() && restart > now
-                                  ? restart - now
-                                  : plan.request_timeout;
-    const std::uint64_t salt = (std::uint64_t{l->t.origin.value()} << 40) ^
-                               (id.value() << 8) ^ 5u;
-    l->val_timer = sim_.after(
-        gap + fault::outage_jitter(config_.seed, salt, ++l->outage_attempts,
-                                   plan.outage_jitter_bound),
-        [this, id, epoch] { validate_retry_fired(id, epoch); });
+  // Retransmitting the commit point into a crashed server is a guaranteed
+  // drop, so firings during an outage defer. A spent budget needs no
+  // action: the deadline timer accounts the miss.
+  if (!l->retry.fire(
+          *injector(), sim_.now(),
+          fault::retry_salt(l->t.origin.value(), id.value(),
+                            fault::RetryTag::kValidate),
+          injector()->plan().request_timeout,
+          [&](sim::Duration delay) { arm_validate_retry(*l, delay); }, [] {})) {
     return;
   }
-  if (l->val_retries >= plan.max_retransmits) return;
-  ++l->val_retries;
   ++injector()->stats().retransmits;
   if (tel_.events_enabled()) {
     tel_.event(obs::EventKind::kRetransmit, sim_.now(), l->t.origin, id);

@@ -86,11 +86,10 @@ class OptimisticSystem final : public System {
     std::uint32_t epoch = 0;
     sim::EventId deadline_timer = sim::kNoEvent;
     /// Bounded retransmission of the validate request (faults only): a lost
-    /// request or verdict would otherwise strand the commit point.
-    std::uint32_t val_retries = 0;
+    /// request or verdict would otherwise strand the commit point. The
+    /// fetch deferrals share the loop's jitter sequence.
+    fault::RetryLoop retry;
     sim::EventId val_timer = sim::kNoEvent;
-    /// Budget-free deferrals taken while the server was down (jitter salt).
-    std::uint32_t outage_attempts = 0;
   };
 
   void begin_attempt(TxnId id);
@@ -100,6 +99,7 @@ class OptimisticSystem final : public System {
   /// Ships the validate request for the current attempt and (faults only)
   /// arms the bounded retransmission timer.
   void send_validate(Live& live);
+  void arm_validate_retry(Live& live, sim::Duration delay);
   /// Validate-retransmit timer body: defers (budget-free, jittered) while
   /// the server is down, retransmits within budget otherwise.
   void validate_retry_fired(TxnId id, std::uint32_t epoch);

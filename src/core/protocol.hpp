@@ -143,10 +143,6 @@ struct ShippedTxn {
   txn::Transaction t;
   ClientId origin = kInvalidClient;
   std::uint32_t ships = 1;  ///< times shipped so far (loop guard)
-  /// Non-zero: this is a *speculative* copy of the named origin-side
-  /// transaction; it must win the origin's commit arbitration before it
-  /// may commit (speculation extension).
-  TxnId spec_of = kInvalidTxn;
 };
 
 /// Client -> client: one decomposed sub-task (LS).
@@ -163,8 +159,6 @@ struct RemoteResult {
   std::uint32_t subtask_index = 0;
   bool is_subtask = false;
   bool success = false;
-  /// Speculation copy result: `id` names the origin-side original.
-  bool spec = false;
 };
 
 /// One surviving grant a client re-registers after a server restart.

@@ -29,7 +29,8 @@ System::System(SystemConfig config)
     // Chaos run: install the deterministic injector as the network's fault
     // seam. Empty plans install nothing — faults_active() stays false and
     // the run is byte-identical to a fault-free build.
-    injector_ = std::make_unique<fault::FaultInjector>(config_.fault);
+    injector_ =
+        std::make_unique<fault::FaultInjector>(config_.fault, config_.seed);
     net_.set_fault_hook(injector_.get());
   }
 }

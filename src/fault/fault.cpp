@@ -179,8 +179,8 @@ std::uint64_t FaultStats::digest() const {
   return h;
 }
 
-FaultInjector::FaultInjector(FaultPlan plan)
-    : plan_(std::move(plan)), rng_(plan_.seed) {}
+FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t jitter_seed)
+    : plan_(std::move(plan)), rng_(plan_.seed), jitter_seed_(jitter_seed) {}
 
 const KindFaults& FaultInjector::faults_for(net::MessageKind kind) const {
   const auto k = static_cast<std::size_t>(kind);
@@ -333,6 +333,27 @@ sim::Duration outage_jitter(std::uint64_t seed, std::uint64_t salt,
   const double fraction =
       static_cast<double>(z >> 11) * 0x1.0p-53;  // [0, 1)
   return bound * fraction;
+}
+
+sim::Duration RetryLoop::defer(FaultInjector& inj, sim::SimTime now,
+                               std::uint64_t salt, sim::Duration fallback) {
+  ++inj.stats().outage_deferrals;
+  const FaultPlan& plan = inj.plan();
+  const sim::SimTime restart = plan.server_restart_time(now);
+  const sim::Duration gap =
+      restart.finite() && restart > now ? restart - now : fallback;
+  return gap + outage_jitter(inj.jitter_seed(), salt, ++deferrals_,
+                             plan.outage_jitter_bound);
+}
+
+bool outage_dooms(FaultInjector& inj, sim::SimTime now, sim::SimTime deadline,
+                  sim::Duration margin) {
+  const sim::SimTime restart = inj.plan().server_restart_time(now);
+  if (restart.finite() && deadline <= restart + margin) {
+    ++inj.stats().deadline_early_aborts;
+    return true;
+  }
+  return false;
 }
 
 std::string describe(const FaultPlan& plan) {

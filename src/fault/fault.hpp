@@ -216,7 +216,9 @@ struct FaultStats {
 /// network's fault seam and carries the run's fault/recovery counters.
 class FaultInjector final : public net::FaultHook {
  public:
-  explicit FaultInjector(FaultPlan plan);
+  /// `jitter_seed` seeds the outage-retry jitter (RetryLoop): the run's
+  /// workload seed, so the jitter follows the run rather than the plan.
+  explicit FaultInjector(FaultPlan plan, std::uint64_t jitter_seed = 0);
 
   // net::FaultHook
   net::FaultVerdict judge(SiteId src, SiteId dst, net::MessageKind kind,
@@ -242,6 +244,7 @@ class FaultInjector final : public net::FaultHook {
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
   [[nodiscard]] FaultStats& stats() { return stats_; }
   [[nodiscard]] const FaultStats& stats() const { return stats_; }
+  [[nodiscard]] std::uint64_t jitter_seed() const { return jitter_seed_; }
 
  private:
   [[nodiscard]] const KindFaults& faults_for(net::MessageKind kind) const;
@@ -249,6 +252,7 @@ class FaultInjector final : public net::FaultHook {
   FaultPlan plan_;
   sim::Rng rng_;
   FaultStats stats_;
+  std::uint64_t jitter_seed_;
 };
 
 /// Named chaos schedules used by rtdb_verify --chaos and the ctest gates.
@@ -271,6 +275,75 @@ std::vector<std::string_view> server_chaos_schedule_names();
 /// shift any other seeded draw.
 sim::Duration outage_jitter(std::uint64_t seed, std::uint64_t salt,
                             std::uint64_t attempt, sim::Duration bound);
+
+/// Which retry loop a jitter salt belongs to (the salt's low byte).
+enum class RetryTag : std::uint8_t {
+  kReturn = 1,    ///< client: dirty object return
+  kRequest = 2,   ///< client: object-request batch
+  kSubmit = 3,    ///< CE: terminal -> server transaction submit
+  kFetch = 4,     ///< OCC: copy-fetch attempt
+  kValidate = 5,  ///< OCC: commit-time validate request
+};
+
+/// Jitter salt of one loop instance: the site, the loop's key (a
+/// transaction or object id) and its tag, packed so no two loops share a
+/// jitter sequence. The client's re-assertion loop salts with its bare id.
+[[nodiscard]] constexpr std::uint64_t retry_salt(std::uint64_t site,
+                                                 std::uint64_t key,
+                                                 RetryTag tag) {
+  return (site << 40) ^ (key << 8) ^ static_cast<std::uint64_t>(tag);
+}
+
+/// The outage-aware retry policy shared by every loop that waits on the
+/// server. While the server is down a firing is *deferred*: re-armed past
+/// the projected restart plus a seeded jitter, so the fleet does not
+/// stampede the new incarnation, without spending the retransmit budget.
+/// While it is up a firing retries until `max_retransmits` tries are spent,
+/// then gives up. The loop owns its two counters; the caller owns the timer
+/// and supplies the salt, the fallback gap, and what deferring and giving
+/// up mean.
+class RetryLoop {
+ public:
+  /// One budget-free deferral at `now`: counts an outage deferral and
+  /// returns the delay — the gap to the projected restart (`fallback` when
+  /// no finite restart lies ahead) plus outage_jitter for this loop's next
+  /// deferral number.
+  sim::Duration defer(FaultInjector& inj, sim::SimTime now,
+                      std::uint64_t salt, sim::Duration fallback);
+
+  /// One firing of a bounded retransmission loop. Server down: calls
+  /// on_defer(delay). Budget spent: calls give_up(), which may destroy this
+  /// loop. Otherwise spends one try and returns true: retransmit now.
+  template <class OnDefer, class GiveUp>
+  bool fire(FaultInjector& inj, sim::SimTime now, std::uint64_t salt,
+            sim::Duration fallback, OnDefer&& on_defer, GiveUp&& give_up) {
+    if (inj.server_down(now)) {
+      on_defer(defer(inj, now, salt, fallback));
+      return false;
+    }
+    if (tries_ >= inj.plan().max_retransmits) {
+      give_up();
+      return false;
+    }
+    ++tries_;
+    return true;
+  }
+
+  /// A fresh request restarts the budget; the deferral count (the jitter
+  /// sequence) carries on.
+  void restart_budget() { tries_ = 0; }
+
+ private:
+  std::uint32_t tries_ = 0;
+  std::uint32_t deferrals_ = 0;
+};
+
+/// Deadline-aware early abort: true — counting one deadline_early_abort —
+/// when a transaction due at `deadline` cannot outlive the server outage
+/// under way at `now` plus `margin`. False while no finite restart is
+/// projected (the server is up, or never comes back).
+bool outage_dooms(FaultInjector& inj, sim::SimTime now, sim::SimTime deadline,
+                  sim::Duration margin);
 
 /// One-line human description of a plan (schedule dumps in CI artifacts).
 std::string describe(const FaultPlan& plan);

@@ -79,7 +79,6 @@ const char* to_string(EventKind k) {
     case EventKind::kTxnShip: return "txn_ship";
     case EventKind::kTxnDecompose: return "txn_decompose";
     case EventKind::kTxnRestart: return "txn_restart";
-    case EventKind::kSpecLaunch: return "spec_launch";
     case EventKind::kOccValidate: return "occ_validate";
     case EventKind::kCacheEvict: return "cache_evict";
     case EventKind::kSiteCrash: return "site_crash";

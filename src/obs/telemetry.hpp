@@ -29,7 +29,7 @@
 namespace rtdb::obs {
 
 /// Final state of a span. kOpen means the transaction never reached a
-/// terminal outcome before export (e.g. a speculative loser).
+/// terminal outcome before export.
 enum class Outcome : std::uint8_t { kOpen = 0, kCommitted, kMissed, kAborted };
 
 const char* to_string(Outcome o);
@@ -110,7 +110,6 @@ enum class EventKind : std::uint8_t {
   kTxnShip,      ///< shipped to site a
   kTxnDecompose, ///< split into v sub-tasks
   kTxnRestart,   ///< deadlock/OCC restart
-  kSpecLaunch,   ///< speculative copy launched at site a
   kOccValidate,  ///< validation performed; b = 1 rejected
   kCacheEvict,   ///< client cache evicted object
   // Fault injection / recovery (only emitted while a FaultPlan is active).

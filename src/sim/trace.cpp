@@ -29,8 +29,6 @@ std::uint32_t TraceLog::enable_from_env() {
       enable(TraceCategory::kWindow);
     } else if (token == "ship") {
       enable(TraceCategory::kShip);
-    } else if (token == "spec") {
-      enable(TraceCategory::kSpec);
     }
     pos = comma + 1;
   }
@@ -78,7 +76,6 @@ const char* TraceLog::name(TraceCategory category) {
     case TraceCategory::kTxn: return "txn";
     case TraceCategory::kWindow: return "window";
     case TraceCategory::kShip: return "ship";
-    case TraceCategory::kSpec: return "spec";
     case TraceCategory::kNone: return "none";
     case TraceCategory::kAll: return "all";
   }

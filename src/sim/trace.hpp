@@ -12,7 +12,7 @@
 
 /// \file trace.hpp
 /// Structured event tracing for simulations. Every interesting protocol
-/// step (grants, recalls, windows, ships, arbitrations, commits) can emit
+/// step (grants, recalls, windows, ships, commits) can emit
 /// a timestamped event into a bounded ring; tests assert on sequences and
 /// humans dump the tail when a run misbehaves. Disabled categories cost
 /// one branch per call site.
@@ -31,7 +31,6 @@ enum class TraceCategory : std::uint32_t {
   kTxn = 1u << 3,      ///< lifecycle: admit, ready, commit, miss
   kWindow = 1u << 4,   ///< collection windows, forward lists
   kShip = 1u << 5,     ///< transaction shipping / decomposition
-  kSpec = 1u << 6,     ///< speculation arbitration
   kAll = 0xffffffffu,
 };
 

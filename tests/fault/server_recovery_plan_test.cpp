@@ -1,7 +1,8 @@
 /// \file server_recovery_plan_test.cpp
 /// Plan-level rules of the server crash/recovery machinery: the capability
-/// gate, window well-formedness, the warm-standby effective end, and the
-/// seeded outage jitter all client retries decorrelate with.
+/// gate, window well-formedness, the warm-standby effective end, the
+/// seeded outage jitter all client retries decorrelate with, and the
+/// shared RetryLoop policy built on them.
 
 #include "fault/fault.hpp"
 
@@ -96,6 +97,86 @@ TEST(ServerRecoveryPlan, OutageJitterIsDeterministicAndBounded) {
   EXPECT_NE(outage_jitter(7, 123, 0, bound), outage_jitter(7, 123, 1, bound));
   EXPECT_EQ(outage_jitter(7, 123, 0, sim::Duration::zero()),
             sim::Duration::zero());
+}
+
+// --- RetryLoop: the shared outage-aware retry policy, without a System ---
+
+constexpr std::uint64_t kSeed = 42;
+constexpr std::uint64_t kSalt = 99;
+const sim::Duration kFallback = msec(400);
+
+TEST(RetryLoop, DeferralWaitsOutTheRestartPlusJitter) {
+  FaultInjector inj(crash_plan(), kSeed);
+  const sim::Duration bound = inj.plan().outage_jitter_bound;
+  RetryLoop loop;
+  sim::Duration delay{};
+  EXPECT_FALSE(loop.fire(
+      inj, at(11), kSalt, kFallback, [&](sim::Duration d) { delay = d; },
+      [] { ADD_FAILURE() << "a deferral never gives up"; }));
+  EXPECT_EQ(delay, (at(12) - at(11)) + outage_jitter(kSeed, kSalt, 1, bound));
+  // The next deferral of the same loop draws the next jitter number.
+  EXPECT_EQ(loop.defer(inj, at(11.5), kSalt, kFallback),
+            (at(12) - at(11.5)) + outage_jitter(kSeed, kSalt, 2, bound));
+}
+
+TEST(RetryLoop, FallbackWhenNoFiniteRestartLiesAhead) {
+  FaultPlan endless = crash_plan();
+  endless.server_crashes[0].end = sim::kTimeInfinity;
+  FaultInjector never_back(endless, kSeed);
+  const sim::Duration bound = endless.outage_jitter_bound;
+  RetryLoop a;
+  EXPECT_EQ(a.defer(never_back, at(11), kSalt, kFallback),
+            kFallback + outage_jitter(kSeed, kSalt, 1, bound));
+  // The window already ended: no restart ahead of `now` either.
+  FaultInjector past(crash_plan(), kSeed);
+  RetryLoop b;
+  EXPECT_EQ(b.defer(past, at(13), kSalt, kFallback),
+            kFallback + outage_jitter(kSeed, kSalt, 1, bound));
+}
+
+TEST(RetryLoop, DeferralsNeverSpendTheBudget) {
+  FaultPlan plan = crash_plan();
+  plan.server_crashes.push_back({at(20), at(22)});
+  plan.max_retransmits = 2;
+  FaultInjector inj(plan, kSeed);
+  RetryLoop loop;
+  int defers = 0;
+  int give_ups = 0;
+  const auto fire = [&](double t) {
+    return loop.fire(
+        inj, at(t), kSalt, kFallback, [&](sim::Duration) { ++defers; },
+        [&] { ++give_ups; });
+  };
+  EXPECT_FALSE(fire(10.5));  // down: deferred
+  EXPECT_FALSE(fire(11.5));  // down: deferred
+  EXPECT_TRUE(fire(12.5));   // up: try 1
+  EXPECT_FALSE(fire(20.5));  // down again: deferred, budget untouched
+  EXPECT_TRUE(fire(23));     // try 2
+  EXPECT_EQ(give_ups, 0);
+  EXPECT_FALSE(fire(24));  // max_retransmits tries spent: give up
+  EXPECT_EQ(give_ups, 1);
+  EXPECT_EQ(defers, 3);
+  // A fresh request restarts the budget.
+  loop.restart_budget();
+  EXPECT_TRUE(fire(25));
+}
+
+TEST(RetryLoop, CountersBumpOncePerDecision) {
+  FaultInjector inj(crash_plan(), kSeed);
+  RetryLoop loop;
+  loop.defer(inj, at(11), kSalt, kFallback);
+  EXPECT_EQ(inj.stats().outage_deferrals, 1u);
+  loop.fire(
+      inj, at(12.5), kSalt, kFallback, [](sim::Duration) {}, [] {});
+  EXPECT_EQ(inj.stats().outage_deferrals, 1u);  // a retry is no deferral
+
+  // Restart at 12 s plus a 400 ms margin: due by 12.3 s is doomed.
+  EXPECT_TRUE(outage_dooms(inj, at(11), at(12.3), kFallback));
+  EXPECT_EQ(inj.stats().deadline_early_aborts, 1u);
+  EXPECT_FALSE(outage_dooms(inj, at(11), at(12.5), kFallback));
+  EXPECT_FALSE(outage_dooms(inj, at(13), at(12.5), kFallback));  // up
+  EXPECT_EQ(inj.stats().deadline_early_aborts, 1u);
+  EXPECT_EQ(inj.stats().outage_deferrals, 1u);
 }
 
 TEST(ServerRecoveryPlan, ServerChaosSchedulesResolveAndValidate) {

@@ -159,7 +159,7 @@ TEST_P(AblationInvariants, EveryAblationAccountsAndQuiesces) {
   cfg.ls.enable_decomposition = (mask & 4) != 0;
   cfg.ls.enable_forward_lists = (mask & 8) != 0;
   cfg.ls.ed_request_scheduling = (mask & 16) != 0;
-  cfg.ls.enable_speculation = (mask & 32) != 0;
+  cfg.ls.parallel_shared_grants = (mask & 32) == 0;
 
   ClientServerSystem sys(cfg);
   const auto m = sys.run();

@@ -89,7 +89,8 @@ TEST(TelemetrySpan, EndIsFirstWins) {
   tel.txn_admit(TxnId{1}, SiteId{2}, sim::SimTime{0.0},
                 sim::SimTime{10.0}, sim::SimTime{0.0});
   tel.txn_end(TxnId{1}, Outcome::kCommitted, sim::SimTime{4.0});
-  tel.txn_end(TxnId{1}, Outcome::kAborted, sim::SimTime{5.0});  // late speculation loser: ignored
+  // txn_end is idempotent: a later outcome for a closed span is ignored.
+  tel.txn_end(TxnId{1}, Outcome::kAborted, sim::SimTime{5.0});
   const TxnSpan* s = tel.spans_sorted()[0];
   EXPECT_EQ(s->outcome, Outcome::kCommitted);
   EXPECT_DOUBLE_EQ(s->end.sec(), 4.0);

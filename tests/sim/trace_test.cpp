@@ -31,8 +31,7 @@ TEST(Trace, AllCoversEverything) {
   log.enable(TraceCategory::kAll);
   for (auto cat : {TraceCategory::kLock, TraceCategory::kCache,
                    TraceCategory::kNet, TraceCategory::kTxn,
-                   TraceCategory::kWindow, TraceCategory::kShip,
-                   TraceCategory::kSpec}) {
+                   TraceCategory::kWindow, TraceCategory::kShip}) {
     EXPECT_TRUE(log.enabled(cat));
   }
 }
@@ -143,8 +142,7 @@ TEST(TraceEnv, AllEnablesEveryCategory) {
   log.enable_from_env();
   for (auto cat : {TraceCategory::kLock, TraceCategory::kCache,
                    TraceCategory::kNet, TraceCategory::kTxn,
-                   TraceCategory::kWindow, TraceCategory::kShip,
-                   TraceCategory::kSpec}) {
+                   TraceCategory::kWindow, TraceCategory::kShip}) {
     EXPECT_TRUE(log.enabled(cat));
   }
 }
@@ -168,7 +166,7 @@ TEST(TraceEnv, DuplicatesAreHarmless) {
 
 TEST(Trace, CategoryNames) {
   EXPECT_STREQ(TraceLog::name(TraceCategory::kLock), "lock");
-  EXPECT_STREQ(TraceLog::name(TraceCategory::kSpec), "spec");
+  EXPECT_STREQ(TraceLog::name(TraceCategory::kShip), "ship");
   EXPECT_STREQ(TraceLog::name(TraceCategory::kWindow), "window");
 }
 

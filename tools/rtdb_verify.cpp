@@ -116,9 +116,10 @@ std::uint64_t run_digest(const core::System& sys, const core::RunMetrics& m) {
   d.u64(m.consistency_violations);
   d.u64(m.occ_validations);
   d.u64(m.occ_rejections);
-  d.u64(m.spec_launched);
-  d.u64(m.spec_local_wins);
-  d.u64(m.spec_remote_wins);
+  // Slots of the retired speculation counters: zero keeps digests pinned.
+  d.u64(0);
+  d.u64(0);
+  d.u64(0);
   digest_samples(d, m.response_time);
   digest_samples(d, m.commit_slack);
   digest_samples(d, m.object_response_shared);
