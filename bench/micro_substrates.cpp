@@ -98,16 +98,41 @@ void BM_LocalLockAcquireRelease(benchmark::State& state) {
 BENCHMARK(BM_LocalLockAcquireRelease);
 
 void BM_WaitForGraphAdmission(benchmark::State& state) {
-  lock::WaitForGraph<TxnId> g;
-  // A chain of 64 waiters; each admission DFSes through it.
-  for (TxnId n{0}; n < TxnId{64}; ++n) {
-    g.add_edges(n, {TxnId{n.value() + 1}});
+  // Server-shaped graph: client i waits for its queued txn i, and txn i waits
+  // for the later clients i+1, i+2 and i+5 holding its objects (acyclic, as
+  // admission keeps it).
+  using Node = lock::TxnOrClientNode;
+  const auto client = [](std::int64_t i) {
+    return Node::of_client(ClientId{static_cast<ClientId::Rep>(i)});
+  };
+  const auto txn = [](std::int64_t i) {
+    return Node::of_txn(TxnId{static_cast<TxnId::Rep>(i)});
+  };
+  const std::int64_t clients = state.range(0);
+  lock::WaitForGraph<Node> g;
+  for (std::int64_t i = 0; i < clients; ++i) {
+    g.add_edges(client(i), {txn(i)});
+    std::vector<Node> holders;
+    for (const std::int64_t d : {1, 2, 5}) {
+      if (i + d < clients) holders.push_back(client(i + d));
+    }
+    g.add_edges(txn(i), holders);
   }
+  // A mid-graph txn asks about later clients, which wait but cannot reach
+  // it, so the search covers all its ancestors; the deadlock case adds the
+  // previous client, whose txn waits for this txn's client.
+  const std::int64_t mid = clients / 2;
+  std::vector<Node> holders = {client(mid + 1), client(mid + 3),
+                               client(mid + 10)};
+  if (state.range(1) != 0) holders.push_back(client(mid - 1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(g.would_deadlock(TxnId{65}, {TxnId{0}}));
+    benchmark::DoNotOptimize(g.would_deadlock(txn(mid), holders));
   }
 }
-BENCHMARK(BM_WaitForGraphAdmission);
+BENCHMARK(BM_WaitForGraphAdmission)
+    ->ArgNames({"clients", "deadlock"})
+    ->Args({200, 0})
+    ->Args({200, 1});
 
 }  // namespace
 

@@ -55,6 +55,8 @@ void WaitForGraph<NodeT>::validate_invariants() const {
       ++reverse_edges;
     }
   }
+  RTDB_CHECK(seen_epoch_.size() == slots_.size(), "scratch holds %zu marks "
+             "for %zu slots", seen_epoch_.size(), slots_.size());
   RTDB_CHECK(active == active_, "active count %zu != active slots %zu",
              active_, active);
   RTDB_CHECK(index_.size() == active_,
@@ -117,22 +119,19 @@ void WaitForGraph<NodeT>::release_if_isolated(std::uint32_t slot) {
 }
 
 template <class NodeT>
-bool WaitForGraph<NodeT>::reachable(std::uint32_t from,
-                                    std::uint32_t to) const {
-  if (from == to) return true;
-  ++epoch_;
-  stack_.clear();
-  stack_.push_back(from);
-  seen_epoch_[from] = epoch_;
+bool WaitForGraph<NodeT>::reaches_target_backwards(std::uint32_t from,
+                                                   std::uint64_t target) const {
+  const std::uint64_t visited = ++epoch_;
+  stack_.assign(1, from);
+  seen_epoch_[from] = visited;
   while (!stack_.empty()) {
     const std::uint32_t n = stack_.back();
     stack_.pop_back();
-    for (const OutEdge& e : slots_[n].out) {
-      if (e.to == to) return true;
-      if (seen_epoch_[e.to] != epoch_) {
-        seen_epoch_[e.to] = epoch_;
-        stack_.push_back(e.to);
-      }
+    for (const std::uint32_t src : slots_[n].in) {
+      if (seen_epoch_[src] == target) return true;
+      if (seen_epoch_[src] == visited) continue;
+      seen_epoch_[src] = visited;
+      stack_.push_back(src);
     }
   }
   return false;
@@ -144,16 +143,24 @@ bool WaitForGraph<NodeT>::would_deadlock(
   RTDB_PERF_TIMER(kWfgCycleCheck);
   RTDB_PERF_ALLOC_SCOPE(kLock);
   RTDB_PERF_COUNT(kWfgCycleChecks);
-  // A new edge waiter->h closes a cycle iff h can already reach waiter.
+  // A new edge waiter->h closes a cycle iff h already reaches waiter. Search
+  // backwards from waiter for the holders that wait (only they can).
   const std::uint32_t w = slot_of(waiter);
-  return std::any_of(holders.begin(), holders.end(), [&](Node h) {
+  if (w == kNoSlot) {  // waiter unknown: nothing reaches it
+    return std::find(holders.begin(), holders.end(), waiter) != holders.end();
+  }
+  const std::uint64_t target = ++epoch_;
+  bool any_target = false;
+  for (const Node h : holders) {
     if (h == waiter) return true;
-    if (w == kNoSlot) return false;  // waiter unknown: nothing reaches it
     const std::uint32_t hs = slot_of(h);
-    // rtdb-lint: allow(hot-path-alloc) reachable() pushes onto the reused
-    // epoch-stamped scratch stack: grows to high-water once, then reuses
-    return hs != kNoSlot && reachable(hs, w);
-  });
+    if (hs == kNoSlot || slots_[hs].out.empty()) continue;
+    seen_epoch_[hs] = target;
+    any_target = true;
+  }
+  // rtdb-lint: allow(hot-path-alloc) the search pushes onto the reused
+  // epoch-stamped scratch stack: grows to high-water once, then reuses
+  return any_target && reaches_target_backwards(w, target);
 }
 
 template <class NodeT>
@@ -206,9 +213,8 @@ void WaitForGraph<NodeT>::drop_pair(std::uint32_t waiter,
 template <class NodeT>
 void WaitForGraph<NodeT>::remove_edge(Node waiter, Node holder) {
   const std::uint32_t w = slot_of(waiter);
-  if (w == kNoSlot) return;
   const std::uint32_t t = slot_of(holder);
-  if (t == kNoSlot) return;
+  if (w == kNoSlot || t == kNoSlot) return;
   auto& out = slots_[w].out;
   auto it = std::find_if(out.begin(), out.end(),
                          [&](const OutEdge& e) { return e.to == t; });
@@ -242,6 +248,7 @@ template <class NodeT>
 void WaitForGraph<NodeT>::clear() {
   index_.clear();
   slots_.clear();
+  seen_epoch_.clear();
   free_head_ = kNoSlot;
   active_ = 0;
   edges_ = 0;
@@ -259,15 +266,12 @@ std::vector<NodeT> WaitForGraph<NodeT>::waits_for(Node waiter) const {
 
 template <class NodeT>
 bool WaitForGraph<NodeT>::has_cycle() const {
-  // Kahn-style: repeatedly strip nodes with zero in-degree; leftovers are
-  // in cycles. (Every active node touches an edge, so the node set here is
-  // exactly the active slots.)
+  // Kahn-style: repeatedly strip nodes with zero in-degree; any active slot
+  // never stripped lies on a cycle.
   std::vector<std::size_t> indeg(slots_.size(), 0);
   std::vector<std::uint32_t> ready;
-  std::size_t total = 0;
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     if (!slots_[i].active) continue;
-    ++total;
     indeg[i] = slots_[i].in.size();
     if (indeg[i] == 0) ready.push_back(i);
   }
@@ -280,7 +284,7 @@ bool WaitForGraph<NodeT>::has_cycle() const {
       if (--indeg[e.to] == 0) ready.push_back(e.to);
     }
   }
-  return removed != total;
+  return removed != active_;
 }
 
 template class WaitForGraph<TxnId>;

@@ -70,16 +70,12 @@ namespace rtdb::lock {
 ///
 /// Storage: each node that currently touches an edge occupies one slot of a
 /// recycled slab, addressed through a single flat id->slot index; adjacency
-/// is a pair of small vectors per slot (out: {target, count}, in: sources).
-/// This replaces the former map-of-map adjacency — no per-edge allocations
-/// in steady state, and cycle checks run an iterative DFS over an
-/// epoch-stamped scratch buffer reused across calls instead of building a
-/// fresh `unordered_set` per check (~2.2 µs -> ~0.1 µs per check at
-/// CS@100). Iteration order of the internal tables never feeds any ordered
-/// decision (see the determinism test).
-///
-/// Complexity: cycle checks are a DFS from the new edge's source, O(V+E) —
-/// graphs here are small (bounded by in-flight transactions).
+/// is a pair of small vectors per slot (out: {target, count}, in: sources),
+/// so steady state allocates nothing per edge. Iteration order of the
+/// internal tables never feeds any ordered decision (see the determinism
+/// test). An admission test is one backward search from the waiter over the
+/// waiter's ancestors, O(V+E) whatever the number of holders, with visited
+/// and target marks epoch-stamped in one reused scratch buffer.
 template <class NodeT>
 class WaitForGraph {
  public:
@@ -149,8 +145,8 @@ class WaitForGraph {
   std::uint32_t get_or_create(Node n);
   /// Frees the slot when it no longer touches any edge.
   void release_if_isolated(std::uint32_t slot);
-  /// DFS over the scratch stack: can `to` be reached from `from`?
-  bool reachable(std::uint32_t from, std::uint32_t to) const;
+  /// Backward search over `in` from `from`: is a `target`-stamped slot met?
+  bool reaches_target_backwards(std::uint32_t from, std::uint64_t target) const;
   /// Drops one (waiter->holder) pair entirely, fixing both adjacencies.
   void drop_pair(std::uint32_t waiter, std::uint32_t holder);
 
@@ -161,11 +157,11 @@ class WaitForGraph {
   std::size_t edges_ = 0;  ///< distinct (waiter, holder) pairs
 
   // Cycle-check scratch, reused across calls (logically const queries).
-  // rtdb-lint: shared(single-thread) DFS scratch; a sharded table must give
+  // rtdb-lint: shared(single-thread) search scratch; a sharded table must give
   // each shard its own graph instance or make the scratch thread_local
   mutable std::vector<std::uint32_t> stack_;
-  // rtdb-lint: shared(single-thread) epoch-stamped visited set, same
-  // per-shard/thread_local plan as stack_
+  // rtdb-lint: shared(single-thread) epoch-stamped visited/target marks,
+  // same per-shard/thread_local plan as stack_
   mutable std::vector<std::uint64_t> seen_epoch_;
   // rtdb-lint: shared(single-thread) generation counter for seen_epoch_;
   // goes per-shard together with the scratch vectors

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <random>
 #include <utility>
 #include <vector>
+
+#include "common/perf.hpp"
 
 namespace rtdb::lock {
 namespace {
@@ -216,6 +220,175 @@ TEST(WaitForGraph, AnswersAreInsertionOrderIndependent) {
     std::sort(wc.begin(), wc.end());
     EXPECT_EQ(wa, wb) << "waits_for(" << w << ")";
     EXPECT_EQ(wa, wc) << "waits_for(" << w << ")";
+  }
+}
+
+TEST(WaitForGraph, ClearAndRebuildKeepsScratchInStep) {
+  // A server crash wipes its graph with clear(); the rebuilt graph must not
+  // carry the old graph's search scratch along (the audit checks sizes).
+  WaitForGraph<TxnOrClientNode> g;
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint64_t t = 1; t <= 20; ++t) {
+      const auto client = TxnOrClientNode::of_client(
+          ClientId{static_cast<std::int32_t>(t % 5)});
+      g.add_edges(TxnOrClientNode::of_txn(TxnId{t}), {client});
+      g.add_edges(client, {TxnOrClientNode::of_txn(TxnId{t + 1})});
+    }
+    g.validate_invariants();
+    EXPECT_TRUE(g.would_deadlock(TxnOrClientNode::of_txn(TxnId{21}),
+                                 {TxnOrClientNode::of_txn(TxnId{1})}));
+    g.clear();
+    g.validate_invariants();
+    EXPECT_TRUE(g.empty());
+    EXPECT_FALSE(g.would_deadlock(TxnOrClientNode::of_txn(TxnId{21}),
+                                  {TxnOrClientNode::of_txn(TxnId{1})}));
+  }
+}
+
+// Differential tests of the admission query against a brute-force
+// reference, for both node types the simulator instantiates.
+template <class Node>
+Node make_node(std::uint64_t i);
+template <>
+TxnId make_node<TxnId>(std::uint64_t i) {
+  return TxnId{i};
+}
+template <>
+TxnOrClientNode make_node<TxnOrClientNode>(std::uint64_t i) {
+  // Even i are txns, odd i clients: txn k and client k both take part and
+  // must stay distinct nodes.
+  return i % 2 == 0
+             ? TxnOrClientNode::of_txn(TxnId{i / 2})
+             : TxnOrClientNode::of_client(
+                   ClientId{static_cast<std::int32_t>(i / 2)});
+}
+
+/// Reference verdict: some holder is the waiter or reaches it by a forward
+/// BFS over waits_for().
+template <class Node>
+bool reference_deadlock(const WaitForGraph<Node>& g, Node waiter,
+                        const std::vector<Node>& holders) {
+  for (const Node h : holders) {
+    std::vector<Node> seen = {h};
+    for (std::size_t next = 0; next < seen.size(); ++next) {
+      if (seen[next] == waiter) return true;
+      for (const Node n : g.waits_for(seen[next])) {
+        if (std::find(seen.begin(), seen.end(), n) == seen.end()) {
+          seen.push_back(n);
+        }
+      }
+    }
+  }
+  return false;
+}
+
+template <class Node>
+class WaitForGraphDifferential : public ::testing::Test {};
+using NodeTypes = ::testing::Types<TxnId, TxnOrClientNode>;
+TYPED_TEST_SUITE(WaitForGraphDifferential, NodeTypes);
+
+TYPED_TEST(WaitForGraphDifferential, EdgeCasesMatchReference) {
+  using Node = TypeParam;
+  const auto n = [](std::uint64_t i) { return make_node<Node>(i); };
+  WaitForGraph<Node> g;
+  g.add_edges(n(1), {n(2)});
+  g.add_edges(n(2), {n(3)});
+  g.add_edges(n(1), {n(2)});  // counted edge: two justifications
+  g.add_edges(n(4), {n(1)});  // n(4) only has out-edges, n(3) only in-edges
+
+  const std::vector<std::pair<Node, std::vector<Node>>> cases = {
+      {n(9), {n(1)}},              // unknown waiter
+      {n(9), {n(9)}},              // unknown waiter waiting on itself
+      {n(9), {n(1), n(9)}},        // ... behind another holder
+      {n(3), {n(8), n(9)}},        // unknown holders only
+      {n(3), {n(8), n(1)}},        // unknown holder then a reaching one
+      {n(2), {n(2)}},              // holder == waiter
+      {n(3), {n(4), n(4), n(4)}},  // duplicate holders
+      {n(1), {n(3)}},              // holder with only in-edges
+      {n(2), {n(3), n(1)}},        // in-edge-only holder, then a cycle
+      {n(3), {n(1)}},              // transitive reach
+      {n(4), {n(3), n(2)}},        // nobody reaches a source node
+      {n(3), {}},                  // no holders at all
+  };
+  for (const auto& [waiter, holders] : cases) {
+    EXPECT_EQ(g.would_deadlock(waiter, holders),
+              reference_deadlock(g, waiter, holders));
+  }
+  // With one justification of 1->2 left, 2->1 still closes a cycle; with
+  // none left it does not.
+  g.remove_edge(n(1), n(2));
+  EXPECT_TRUE(g.would_deadlock(n(2), {n(1)}));
+  EXPECT_TRUE(reference_deadlock(g, n(2), {n(1)}));
+  g.remove_edge(n(1), n(2));
+  EXPECT_FALSE(g.would_deadlock(n(2), {n(1)}));
+  EXPECT_FALSE(reference_deadlock(g, n(2), {n(1)}));
+}
+
+TYPED_TEST(WaitForGraphDifferential, CountsOneCycleCheckPerQuery) {
+  using Node = TypeParam;
+  const auto n = [](std::uint64_t i) { return make_node<Node>(i); };
+  WaitForGraph<Node> g;
+  g.add_edges(n(1), {n(2)});
+  g.add_edges(n(2), {n(3)});
+  // Unknown waiter, self-wait, search hit, search miss, no target at all.
+  const std::vector<std::pair<Node, std::vector<Node>>> cases = {
+      {n(9), {n(1)}}, {n(1), {n(1)}}, {n(2), {n(1)}},
+      {n(1), {n(2)}}, {n(1), {n(7)}}};
+  for (const auto& [waiter, holders] : cases) {
+    const std::uint64_t before =
+        perf::counter_value(perf::Counter::kWfgCycleChecks);
+    (void)g.would_deadlock(waiter, holders);
+    EXPECT_EQ(perf::counter_value(perf::Counter::kWfgCycleChecks), before + 1);
+  }
+}
+
+TYPED_TEST(WaitForGraphDifferential, RandomMutationsMatchReference) {
+  using Node = TypeParam;
+  // Nodes [1, kUniverse) take part in edges; [kUniverse, kUniverse + 3) are
+  // only ever asked about, so queries also see holders and waiters that the
+  // graph has never held.
+  constexpr std::uint64_t kUniverse = 12;
+  const auto n = [](std::uint64_t i) { return make_node<Node>(i); };
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937 rng(seed);
+    const auto pick = [&](std::uint64_t bound) {
+      return n(1 + rng() % (bound - 1));
+    };
+    const auto pick_holders = [&](std::uint64_t bound) {
+      std::vector<Node> holders(1 + rng() % 4);
+      for (Node& h : holders) h = pick(bound);  // duplicates allowed
+      return holders;
+    };
+    WaitForGraph<Node> g;
+    for (int step = 0; step < 200; ++step) {
+      const std::uint32_t op = rng() % 100;
+      if (op < 45) {
+        const Node w = pick(kUniverse);
+        const std::vector<Node> holders = pick_holders(kUniverse);
+        if (op % 2 == 0) {
+          g.add_edges(w, holders);  // may close a cycle on purpose
+        } else {
+          const bool expect = reference_deadlock(g, w, holders);
+          EXPECT_EQ(g.try_add_edges(w, holders), !expect);
+        }
+      } else if (op < 80) {
+        const Node w = pick(kUniverse);
+        const std::vector<Node> out = g.waits_for(w);
+        g.remove_edge(w, out.empty() ? pick(kUniverse)
+                                     : out[rng() % out.size()]);
+      } else if (op < 98) {
+        g.remove_node(pick(kUniverse));
+      } else {
+        g.clear();
+      }
+      g.validate_invariants();
+      for (std::uint64_t w = 1; w < kUniverse + 3; ++w) {
+        const std::vector<Node> holders = pick_holders(kUniverse + 3);
+        EXPECT_EQ(g.would_deadlock(n(w), holders),
+                  reference_deadlock(g, n(w), holders))
+            << "seed " << seed << " step " << step << " waiter " << w;
+      }
+    }
   }
 }
 
