@@ -1,19 +1,21 @@
 /// \file custom_driver.cpp
 /// Tutorial: driving the cluster manually instead of through the workload
 /// generator. Shows the manual-driving API (bootstrap + simulator), the
-/// structured trace, and the consistency auditor — the three tools for
+/// typed event stream, and the consistency auditor — the three tools for
 /// building and debugging custom scenarios on top of the library.
 ///
 /// The scenario is the paper's §3.4 example, scaled up: one writer holds a
 /// hot object while several clients pile up requests for it, so a forward
-/// list forms and circulates. The trace of the whole episode is printed.
+/// list forms and circulates. The lock, window and txn events of the whole
+/// episode are printed as JSONL.
 ///
 ///   $ ./custom_driver
 
 #include <cstdio>
-#include <sstream>
+#include <iostream>
 
 #include "core/client_server.hpp"
+#include "obs/export.hpp"
 
 int main() {
   using namespace rtdb;
@@ -29,11 +31,9 @@ int main() {
   cfg.ls.enable_h1 = false;   // keep our hand-placed transactions in place
   cfg.ls.enable_h2 = false;
   cfg.ls.enable_decomposition = false;
+  cfg.telemetry.events = true;
 
   core::ClientServerSystem sys(cfg);
-  sys.trace().enable(sim::TraceCategory::kLock);
-  sys.trace().enable(sim::TraceCategory::kWindow);
-  sys.trace().enable(sim::TraceCategory::kTxn);
   sys.bootstrap();
 
   const auto make_txn = [](TxnId id, SiteId origin, sim::SimTime now,
@@ -76,9 +76,8 @@ int main() {
               static_cast<unsigned long long>(
                   sys.auditor().committed_version(ObjectId{42})));
 
-  std::printf("--- protocol trace ---\n");
-  std::ostringstream os;
-  sys.trace().dump(os);
-  std::fputs(os.str().c_str(), stdout);
+  std::printf("--- protocol events ---\n");
+  obs::write_jsonl(std::cout, sys.telemetry(),
+                   obs::parse_categories("lock,window,txn"));
   return 0;
 }

@@ -6,17 +6,19 @@
 ///                   [disables: comma list of h1,h2,dec,fwd,ed]
 ///
 /// The optional fourth argument switches individual LS techniques off
-/// (ablation), e.g. `./inspect_run ls 100 20 dec,fwd`. Set RTDB_TRACE
-/// (e.g. RTDB_TRACE=lock,window) to dump the last protocol events of the
-/// run.
+/// (ablation), e.g. `./inspect_run ls 100 20 dec,fwd`. Set RTDB_TRACE to a
+/// comma list of event categories (lock, window, ship, txn, cache, net,
+/// fault, or all; e.g. RTDB_TRACE=lock,window): the run then keeps its last
+/// 60 typed events and prints, as JSONL, those in the chosen categories.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
+#include <iostream>
 #include <string>
 
 #include "core/runner.hpp"
+#include "obs/export.hpp"
 
 int main(int argc, char** argv) {
   using namespace rtdb;
@@ -33,6 +35,12 @@ int main(int argc, char** argv) {
   core::SystemConfig cfg = core::SystemConfig::paper_defaults(update_pct);
   cfg.num_clients = clients;
   cfg.duration = sim::seconds(1500);
+  const std::uint32_t categories =
+      obs::parse_categories(std::getenv("RTDB_TRACE"));
+  if (categories != 0) {
+    cfg.telemetry.events = true;
+    cfg.telemetry.event_capacity = 60;  // the ring keeps the run's tail
+  }
 
   if (kind == core::SystemKind::kLoadSharing && argc > 4) {
     cfg.ls = core::LsOptions::all();
@@ -107,12 +115,12 @@ int main(int argc, char** argv) {
                 (unsigned long long)m.messages.messages(kindk),
                 (unsigned long long)(m.messages.bytes(kindk) / 1024));
   }
-  if (system->trace().active()) {
-    std::printf("\n--- trace tail (%zu events recorded, %zu dropped) ---\n",
-                system->trace().events().size(), system->trace().dropped());
-    std::ostringstream os;
-    system->trace().dump(os, 60);
-    std::fputs(os.str().c_str(), stdout);
+  if (categories != 0) {
+    const obs::Telemetry& tel = system->telemetry();
+    std::printf("\n--- event tail (%zu events kept, %llu dropped) ---\n",
+                tel.events().size(),
+                (unsigned long long)tel.events_dropped());
+    obs::write_jsonl(std::cout, tel, categories);
   }
   return 0;
 }

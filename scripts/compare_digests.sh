@@ -8,6 +8,8 @@ set -u
 
 cd "$(dirname "$0")/.."
 VERIFY=${1:-build/tools/rtdb_verify}
+# RTDB_TRACE turns telemetry events on and folds them into every digest.
+unset RTDB_TRACE RTDB_TRACE_DUMP
 
 if [ ! -x "$VERIFY" ]; then
   echo "compare_digests: $VERIFY not found — build the rtdb_verify target first" >&2

@@ -664,12 +664,6 @@ void ClientNode::decide_placement(Live& live, const LocationReply& reply) {
 void ClientNode::ship_txn(TxnId id, ClientId to) {
   Live* live = find(id);
   assert(live && !live->remote);
-  if (sys_.trace().enabled(sim::TraceCategory::kShip)) {
-    sys_.trace().emitf(sys_.sim().now(), sim::TraceCategory::kShip, site_,
-                       "ship txn=%llu -> site %d",
-                       static_cast<unsigned long long>(id.value()),
-                       site_of(to).value());
-  }
   ++sys_.live_metrics().shipped_txns;
   if (sys_.telemetry().events_enabled()) {
     sys_.telemetry().event(obs::EventKind::kTxnShip, sys_.sim().now(), site_,
@@ -1166,24 +1160,12 @@ void ClientNode::commit(TxnId id) {
     }
   }
   update_atl(live->t, sys_.sim().now());
-  if (sys_.trace().enabled(sim::TraceCategory::kTxn)) {
-    sys_.trace().emitf(sys_.sim().now(), sim::TraceCategory::kTxn, site_,
-                       "commit txn=%llu slack=%.3f",
-                       static_cast<unsigned long long>(id.value()),
-                       (live->t.deadline - sys_.sim().now()).sec());
-  }
   finish(id, txn::TxnState::kCommitted);
 }
 
 void ClientNode::handle_deadline(TxnId id) {
   Live* live = find(id);
   if (!live || !txn::is_live(live->t.state)) return;
-  if (sys_.trace().enabled(sim::TraceCategory::kTxn)) {
-    sys_.trace().emitf(sys_.sim().now(), sim::TraceCategory::kTxn, site_,
-                       "miss txn=%llu (state %s)",
-                       static_cast<unsigned long long>(id.value()),
-                       std::string(txn::to_string(live->t.state)).c_str());
-  }
   finish(id, txn::TxnState::kMissed);
 }
 

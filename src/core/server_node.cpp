@@ -361,12 +361,6 @@ void ServerNode::send_recalls(ObjectId obj) {
     if (lock::compatible(hold.mode, wanted)) continue;
     if (glt_.recall_pending(obj, hold.client)) continue;
     glt_.mark_recall_sent(obj, hold.client);
-    if (sys_.trace().enabled(sim::TraceCategory::kLock)) {
-      sys_.trace().emitf(sys_.sim().now(), sim::TraceCategory::kLock,
-                         kServerSite, "recall obj=%u -> site %d (want %s)",
-                         obj.value(), site_of(hold.client).value(),
-                         std::string(lock::to_string(wanted)).c_str());
-    }
     if (sys_.telemetry().events_enabled()) {
       sys_.telemetry().event(obs::EventKind::kLockRecall, sys_.sim().now(),
                              kServerSite, kInvalidTxn, obj,
@@ -463,10 +457,6 @@ void ServerNode::maybe_close_window_early(ObjectId obj) {
 
 void ServerNode::maybe_open_window(ObjectId obj) {
   if (windows_.count(obj) != 0 || glt_.is_circulating(obj)) return;
-  if (sys_.trace().enabled(sim::TraceCategory::kWindow)) {
-    sys_.trace().emitf(sys_.sim().now(), sim::TraceCategory::kWindow,
-                       kServerSite, "window open obj=%u", obj.value());
-  }
   if (sys_.telemetry().events_enabled()) {
     sys_.telemetry().event(obs::EventKind::kWindowOpen, sys_.sim().now(),
                            kServerSite, kInvalidTxn, obj);
@@ -548,13 +538,6 @@ void ServerNode::pump_object(ObjectId obj) {
           }
           set_circulating_mirrored(obj, list.back().client);
           if (sys_.faults_active()) arm_circulation_watchdog(obj, list);
-          if (sys_.trace().enabled(sim::TraceCategory::kWindow)) {
-            sys_.trace().emitf(sys_.sim().now(), sim::TraceCategory::kWindow,
-                               kServerSite,
-                               "circulate obj=%u group=%zu head=site %d",
-                               obj.value(), list.size(),
-                               site_of(list[0].client).value());
-          }
           if (sys_.telemetry().events_enabled()) {
             sys_.telemetry().event(obs::EventKind::kCirculate,
                                    sys_.sim().now(), kServerSite, list[0].txn,
@@ -611,13 +594,6 @@ void ServerNode::pump_object(ObjectId obj) {
 
 void ServerNode::ship(ClientId to, Grant grant, net::MessageKind kind) {
   grant.epoch = epoch_;
-  if (sys_.trace().enabled(sim::TraceCategory::kLock)) {
-    sys_.trace().emitf(sys_.sim().now(), sim::TraceCategory::kLock,
-                       kServerSite, "grant obj=%u -> site %d (%s%s)",
-                       grant.object.value(), site_of(to).value(),
-                       std::string(lock::to_string(grant.mode)).c_str(),
-                       grant.with_data ? ", data" : "");
-  }
   if (sys_.telemetry().events_enabled()) {
     sys_.telemetry().event(obs::EventKind::kLockGrant, sys_.sim().now(),
                            kServerSite, grant.txn, grant.object,
@@ -870,23 +846,11 @@ void ServerNode::crash() {
   loads_.clear();
   grace_parked_.clear();
   in_grace_ = false;
-  if (sys_.trace().enabled(sim::TraceCategory::kLock)) {
-    sys_.trace().emitf(sys_.sim().now(), sim::TraceCategory::kLock,
-                       kServerSite, "server crash (epoch %u dies)", epoch_);
-  }
 }
 
 void ServerNode::restart(bool failover) {
   ++epoch_;
   const fault::FaultPlan& plan = sys_.injector()->plan();
-  if (sys_.trace().enabled(sim::TraceCategory::kLock)) {
-    sys_.trace().emitf(sys_.sim().now(), sim::TraceCategory::kLock,
-                       kServerSite, "server restart epoch=%u %s", epoch_,
-                       failover ? "(standby promoted)"
-                                : plan.recovery_disabled
-                                      ? "(recovery disabled)"
-                                      : "(grace rebuild)");
-  }
   if (plan.recovery_disabled) return;  // serve from an empty table (broken)
   if (failover && standby_) {
     // Promotion: the mirrored snapshot IS the lock table. Raw glt_ calls —

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/check.hpp"
 
@@ -12,7 +11,6 @@ System::System(SystemConfig config)
     : config_(config),
       net_(sim_, config.network),
       suite_(config.workload, config.num_clients, config.seed) {
-  trace_.enable_from_env();
   tel_.configure(config_.telemetry);
   if (tel_.events_enabled()) {
     // Record every counted wire message as a typed event. The hook is only
@@ -210,18 +208,6 @@ void System::record_generated(const txn::Transaction& t) {
   if (is_measured(t)) ++metrics_.generated;
 }
 
-namespace {
-/// Debug aid: RTDB_TRACE_TXN=<id> streams outcome records for one
-/// transaction to stderr (cached once).
-std::uint64_t traced_txn() {
-  static const std::uint64_t id = [] {
-    const char* e = std::getenv("RTDB_TRACE_TXN");
-    return e ? std::strtoull(e, nullptr, 10) : 0ull;
-  }();
-  return id;
-}
-}  // namespace
-
 bool System::first_outcome(const txn::Transaction& t) {
   if (resolved_.insert(t.id).second) return true;
   ++double_records_;
@@ -232,10 +218,6 @@ bool System::first_outcome(const txn::Transaction& t) {
 
 void System::record_commit(const txn::Transaction& t,
                            sim::SimTime commit_time) {
-  if (traced_txn() == t.id.value()) {
-    std::fprintf(stderr, "[%.3f] record_commit txn=%llu\n", sim_.now().sec(),
-                 static_cast<unsigned long long>(t.id.value()));
-  }
   if (tel_.spans_enabled()) {
     tel_.txn_end(t.id, obs::Outcome::kCommitted, commit_time);
   }
@@ -247,10 +229,6 @@ void System::record_commit(const txn::Transaction& t,
 }
 
 void System::record_miss(const txn::Transaction& t) {
-  if (traced_txn() == t.id.value()) {
-    std::fprintf(stderr, "[%.3f] record_miss txn=%llu\n", sim_.now().sec(),
-                 static_cast<unsigned long long>(t.id.value()));
-  }
   if (tel_.spans_enabled()) {
     tel_.txn_end(t.id, obs::Outcome::kMissed, sim_.now());
   }
@@ -265,10 +243,6 @@ void System::record_miss(const txn::Transaction& t) {
 }
 
 void System::record_abort(const txn::Transaction& t) {
-  if (traced_txn() == t.id.value()) {
-    std::fprintf(stderr, "[%.3f] record_abort txn=%llu\n", sim_.now().sec(),
-                 static_cast<unsigned long long>(t.id.value()));
-  }
   if (tel_.spans_enabled()) {
     tel_.txn_end(t.id, obs::Outcome::kAborted, sim_.now());
   }

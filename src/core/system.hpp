@@ -11,7 +11,6 @@
 #include "net/network.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 #include "txn/transaction.hpp"
 #include "workload/generator.hpp"
 
@@ -47,14 +46,9 @@ class System {
   [[nodiscard]] ConsistencyAuditor& auditor() { return auditor_; }
   [[nodiscard]] const ConsistencyAuditor& auditor() const { return auditor_; }
 
-  /// Structured event trace (RTDB_TRACE=lock,txn,... or programmatic
-  /// enable); disabled categories cost one branch per emit site.
-  [[nodiscard]] sim::TraceLog& trace() { return trace_; }
-  [[nodiscard]] const sim::TraceLog& trace() const { return trace_; }
-
   /// Telemetry layer: lifecycle spans, typed events, gauge series, miss
-  /// attribution (configured via config.telemetry; same one-branch cost
-  /// discipline as the trace when disabled).
+  /// attribution (configured via config.telemetry; one branch per call
+  /// site when disabled).
   [[nodiscard]] obs::Telemetry& telemetry() { return tel_; }
   [[nodiscard]] const obs::Telemetry& telemetry() const { return tel_; }
 
@@ -158,7 +152,6 @@ class System {
   workload::WorkloadSuite suite_;
   RunMetrics metrics_;
   ConsistencyAuditor auditor_;
-  sim::TraceLog trace_;
   obs::Telemetry tel_;
 
  private:

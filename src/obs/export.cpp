@@ -16,14 +16,6 @@ int pid_of(SiteId site) { return site.value() + 1; }
 
 double usec_of(sim::SimTime t) { return t.sec() * 1e6; }
 
-void site_name(std::ostream& os, SiteId site) {
-  if (site == kServerSite) {
-    os << "server";
-  } else {
-    os << "client " << site;
-  }
-}
-
 /// One trace_event object. `extra` (optional) is raw JSON appended into the
 /// args object.
 void emit_meta(std::ostream& os, bool& first, const char* name, int pid,
@@ -177,8 +169,12 @@ void write_perfetto(std::ostream& os, const Telemetry& tel,
   os << "\n],\"displayTimeUnit\":\"ms\"}\n";
 }
 
-void write_jsonl(std::ostream& os, const Telemetry& tel) {
+void write_jsonl(std::ostream& os, const Telemetry& tel,
+                 std::uint32_t categories) {
   for (const Event& e : tel.events()) {
+    if ((categories & static_cast<std::uint32_t>(category_of(e.kind))) == 0) {
+      continue;
+    }
     os << R"({"record":"event","t_us":)";
     json_number(os, usec_of(e.t));
     os << R"(,"kind":")" << to_string(e.kind) << R"(","site":)" << e.site

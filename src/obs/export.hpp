@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 
 #include "obs/telemetry.hpp"
@@ -12,8 +13,9 @@
 ///    ("track") per site, transaction lifecycle spans as nestable async
 ///    slices, typed events as instants, gauge series as counter tracks.
 ///    Open the file directly in https://ui.perfetto.dev.
-///  * write_jsonl() — one JSON object per line: every typed event followed
-///    by one summary line per transaction span (machine-friendly dump).
+///  * write_jsonl() — one JSON object per line: the typed events of the
+///    selected categories, then one summary line per transaction span
+///    (machine-friendly dump; `grep '"txn":<id>,'` gives one transaction).
 ///
 /// Timestamps are sim-time microseconds in both formats.
 
@@ -25,8 +27,10 @@ namespace rtdb::obs {
 void write_perfetto(std::ostream& os, const Telemetry& tel,
                     std::size_t num_sites, sim::SimTime end_time);
 
-/// Writes the structured JSONL dump (events, then span summaries).
-void write_jsonl(std::ostream& os, const Telemetry& tel);
+/// Writes the structured JSONL dump (events, then span summaries). Only
+/// events whose category_of() bit is set in `categories` are written.
+void write_jsonl(std::ostream& os, const Telemetry& tel,
+                 std::uint32_t categories = kAllCategories);
 
 /// Escapes a string for embedding in a JSON string literal (exposed for the
 /// metrics exporter and tests).

@@ -1,6 +1,7 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/perf.hpp"
 
@@ -19,6 +20,7 @@ class Fnv {
     }
   }
   void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) {
     std::uint64_t bits;
     static_assert(sizeof bits == sizeof v);
@@ -89,6 +91,67 @@ const char* to_string(EventKind k) {
     case EventKind::kFaultRepair: return "fault_repair";
   }
   return "?";
+}
+
+EventCategory category_of(EventKind k) {
+  switch (k) {
+    case EventKind::kMsgSend: return EventCategory::kNet;
+    case EventKind::kLockQueued:
+    case EventKind::kLockGrant:
+    case EventKind::kLockRecall:
+    case EventKind::kLockReturn:
+    case EventKind::kExpiredSkip: return EventCategory::kLock;
+    case EventKind::kForwardHop:
+    case EventKind::kWindowOpen:
+    case EventKind::kCirculate: return EventCategory::kWindow;
+    case EventKind::kTxnAdmit:
+    case EventKind::kTxnReady:
+    case EventKind::kTxnExec:
+    case EventKind::kTxnCommit:
+    case EventKind::kTxnMiss:
+    case EventKind::kTxnAbort:
+    case EventKind::kTxnRestart:
+    case EventKind::kOccValidate: return EventCategory::kTxn;
+    case EventKind::kTxnShip:
+    case EventKind::kTxnDecompose: return EventCategory::kShip;
+    case EventKind::kCacheEvict: return EventCategory::kCache;
+    case EventKind::kSiteCrash:
+    case EventKind::kSiteRecover:
+    case EventKind::kSiteDead:
+    case EventKind::kRetransmit:
+    case EventKind::kFaultReroute:
+    case EventKind::kFaultRepair: return EventCategory::kFault;
+  }
+  return EventCategory::kNet;  // unreachable: the switch is exhaustive
+}
+
+const char* to_string(EventCategory c) {
+  switch (c) {
+    case EventCategory::kLock: return "lock";
+    case EventCategory::kCache: return "cache";
+    case EventCategory::kNet: return "net";
+    case EventCategory::kTxn: return "txn";
+    case EventCategory::kWindow: return "window";
+    case EventCategory::kShip: return "ship";
+    case EventCategory::kFault: return "fault";
+  }
+  return "?";
+}
+
+std::uint32_t parse_categories(const char* spec) {
+  std::uint32_t mask = 0;
+  std::string_view rest = spec != nullptr ? spec : "";
+  while (!rest.empty()) {
+    const std::size_t comma = rest.find(',');
+    const std::string_view token = rest.substr(0, comma);
+    if (token == "all") mask = kAllCategories;
+    for (std::uint32_t bit = 1; bit <= kAllCategories; bit <<= 1) {
+      if (token == to_string(static_cast<EventCategory>(bit))) mask |= bit;
+    }
+    if (comma == std::string_view::npos) break;
+    rest.remove_prefix(comma + 1);
+  }
+  return mask;
 }
 
 WaitBucket TxnSpan::dominant_wait() const {
@@ -381,6 +444,7 @@ std::uint64_t Telemetry::digest() const {
     d.f64(s->end.sec());
     for (const double w : s->wait) d.f64(w);
     d.u64(s->worst_object.value());
+    d.i64(s->worst_holder.value());
     d.f64(s->worst_object_wait);
     d.u64(s->hops);
     d.u64(s->restarts);
@@ -390,9 +454,11 @@ std::uint64_t Telemetry::digest() const {
   for (const Event& e : events_) {
     d.f64(e.t.sec());
     d.u64(static_cast<std::uint64_t>(e.kind));
-    d.u64(static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(e.site.value())));
+    d.i64(e.site.value());
     d.u64(e.txn.value());
+    d.u64(e.object.value());
+    d.i64(e.a);
+    d.i64(e.b);
     d.f64(e.v);
   }
   for (const auto m : attribution_.misses) d.u64(m);
@@ -400,6 +466,7 @@ std::uint64_t Telemetry::digest() const {
   d.u64(attribution_.unattributed);
   for (const auto& row : top_blockers(16)) {
     d.u64(row.object.value());
+    d.i64(row.holder.value());
     d.u64(row.txns);
     d.f64(row.total_wait);
   }

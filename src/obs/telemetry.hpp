@@ -16,7 +16,7 @@
 /// outcome), typed protocol events (messages, grants, recalls, forwards),
 /// fixed-interval gauge series, and a deadline-miss attribution table.
 ///
-/// Design rules (mirroring sim::TraceLog):
+/// Design rules:
 ///  * near-zero cost when disabled — every call site is guarded by a single
 ///    branch on spans_enabled()/events_enabled();
 ///  * purely passive — recording never schedules, cancels or mutates
@@ -88,9 +88,8 @@ struct TxnSpan {
   sim::SimTime last_ready = kUnsetTime;
 };
 
-/// Typed protocol events, replacing the ad-hoc printf strings of TraceLog
-/// for machine consumption. Field use per kind is documented in
-/// docs/observability.md.
+/// Typed protocol events: the simulator's one event vocabulary. Field use
+/// and category per kind are tabulated in docs/observability.md.
 enum class EventKind : std::uint8_t {
   kMsgSend = 0,  ///< site -> a: b = net::MessageKind, v = frame bytes
   kLockQueued,   ///< txn queued on object at server; a = holder site
@@ -113,15 +112,41 @@ enum class EventKind : std::uint8_t {
   kOccValidate,  ///< validation performed; b = 1 rejected
   kCacheEvict,   ///< client cache evicted object
   // Fault injection / recovery (only emitted while a FaultPlan is active).
-  kSiteCrash,    ///< scheduled client crash window entered
-  kSiteRecover,  ///< crashed client rejoined cold
-  kSiteDead,     ///< server declared the client dead; a = locks reclaimed
-  kRetransmit,   ///< request/recall/return re-sent; a = kind discriminator
-  kFaultReroute, ///< forward list re-routed around a dead/expired hop
+  kSiteCrash,    ///< scheduled crash window entered (client or server)
+  kSiteRecover,  ///< crashed site back (client cold; server restarted or
+                 ///< its standby promoted)
+  kSiteDead,     ///< server declared client site a dead
+  kRetransmit,   ///< request/validation (txn) or recall/return (object)
+                 ///< re-sent; a = recalled site for a recall
+  kFaultReroute, ///< forward list re-routed around down site a
   kFaultRepair,  ///< circulation watchdog re-shipped the server copy
 };
 
 const char* to_string(EventKind k);
+
+/// Coarse event categories, the RTDB_TRACE vocabulary. Every EventKind
+/// belongs to exactly one; the values are bits of a category mask.
+enum class EventCategory : std::uint32_t {
+  kLock = 1u << 0,    ///< lock queueing, grants, recalls, returns
+  kCache = 1u << 1,   ///< client cache evictions
+  kNet = 1u << 2,     ///< wire messages
+  kTxn = 1u << 3,     ///< lifecycle: admit, ready, exec, outcome, restart
+  kWindow = 1u << 4,  ///< collection windows and forward lists
+  kShip = 1u << 5,    ///< transaction shipping and decomposition
+  kFault = 1u << 6,   ///< crashes, recoveries, retransmits, re-routes
+};
+
+/// Mask with every category set.
+inline constexpr std::uint32_t kAllCategories = (1u << 7) - 1;
+
+EventCategory category_of(EventKind k);
+
+const char* to_string(EventCategory c);
+
+/// Parses an RTDB_TRACE spec into a category mask: a comma-separated list
+/// of category names, or `all`. Unknown names are ignored; a null or empty
+/// spec yields 0.
+std::uint32_t parse_categories(const char* spec);
 
 /// One recorded event. `a`, `b` and `v` are kind-specific (see EventKind).
 struct Event {
@@ -195,7 +220,7 @@ class Telemetry {
   // --- span lifecycle -------------------------------------------------------
   // All span calls are cheap no-ops when spans are disabled; call sites
   // still guard with spans_enabled() to keep the disabled cost to one
-  // branch (TraceLog discipline).
+  // branch.
 
   /// Creates the span (idempotent: a second admit for the same id — e.g. a
   /// shipped transaction re-admitted at the remote site — is ignored).
@@ -292,7 +317,8 @@ class Telemetry {
   }
   [[nodiscard]] const std::vector<Series>& series() const { return series_; }
 
-  /// FNV-1a digest of every telemetry counter and sample — folded into
+  /// FNV-1a digest of every exported span, event, blocker row and sample
+  /// field (the same fields the JSONL/Perfetto writers emit) — folded into
   /// rtdb_verify's determinism proof so a nondeterministic probe or
   /// exporter ordering fails the existing ctest gates.
   [[nodiscard]] std::uint64_t digest() const;

@@ -1,17 +1,15 @@
 /// \file trace_integration_test.cpp
-/// The trace subsystem wired into a live cluster: protocol steps appear as
-/// structured events in the expected order.
+/// Typed telemetry events wired into a live cluster: protocol steps appear
+/// as events of the expected kinds, in time order.
 
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "core/client_server.hpp"
 
 namespace rtdb::core {
 namespace {
 
-using sim::TraceCategory;
+using obs::EventKind;
 
 txn::Transaction mk(TxnId id, SiteId origin, sim::SimTime now,
                     std::vector<txn::Operation> ops) {
@@ -25,8 +23,9 @@ txn::Transaction mk(TxnId id, SiteId origin, sim::SimTime now,
   return t;
 }
 
-SystemConfig cfg2() {
+SystemConfig cfg2(bool events = true) {
   SystemConfig cfg;
+  cfg.telemetry.events = events;
   cfg.num_clients = 2;
   cfg.warm_start = false;
   cfg.workload.db_size = 50;
@@ -35,19 +34,22 @@ SystemConfig cfg2() {
   return cfg;
 }
 
-bool has_event(const sim::TraceLog& log, TraceCategory cat,
-               const std::string& needle) {
-  for (const auto& e : log.events()) {
-    if (e.category == cat && e.text.find(needle) != std::string::npos) {
-      return true;
-    }
+bool has_txn_event(const System& sys, EventKind kind, TxnId txn) {
+  for (const auto& e : sys.telemetry().events()) {
+    if (e.kind == kind && e.txn == txn) return true;
+  }
+  return false;
+}
+
+bool has_object_event(const System& sys, EventKind kind, ObjectId object) {
+  for (const auto& e : sys.telemetry().events()) {
+    if (e.kind == kind && e.object == object) return true;
   }
   return false;
 }
 
 TEST(TraceIntegration, GrantRecallCommitSequenceRecorded) {
   ClientServerSystem sys(cfg2());
-  sys.trace().enable(TraceCategory::kAll);
   sys.bootstrap();
   sys.client(ClientId{1}).on_new_transaction(
       mk(TxnId{1}, SiteId{1}, sim::SimTime{0}, {{ObjectId{7}, true}}));
@@ -56,24 +58,23 @@ TEST(TraceIntegration, GrantRecallCommitSequenceRecorded) {
       mk(TxnId{2}, SiteId{2}, sim::SimTime{30}, {{ObjectId{7}, true}}));
   sys.simulator().run_until(sim::SimTime{80});
 
-  EXPECT_TRUE(has_event(sys.trace(), TraceCategory::kLock, "grant obj=7"));
-  EXPECT_TRUE(has_event(sys.trace(), TraceCategory::kLock, "recall obj=7"));
-  EXPECT_TRUE(has_event(sys.trace(), TraceCategory::kTxn, "commit txn=1"));
-  EXPECT_TRUE(has_event(sys.trace(), TraceCategory::kTxn, "commit txn=2"));
+  EXPECT_TRUE(has_object_event(sys, EventKind::kLockGrant, ObjectId{7}));
+  EXPECT_TRUE(has_object_event(sys, EventKind::kLockRecall, ObjectId{7}));
+  EXPECT_TRUE(has_txn_event(sys, EventKind::kTxnCommit, TxnId{1}));
+  EXPECT_TRUE(has_txn_event(sys, EventKind::kTxnCommit, TxnId{2}));
 }
 
 TEST(TraceIntegration, DisabledTraceStaysEmpty) {
-  ClientServerSystem sys(cfg2());
+  ClientServerSystem sys(cfg2(/*events=*/false));
   sys.bootstrap();
   sys.client(ClientId{1}).on_new_transaction(
       mk(TxnId{1}, SiteId{1}, sim::SimTime{0}, {{ObjectId{7}, true}}));
   sys.simulator().run_until(sim::SimTime{30});
-  EXPECT_TRUE(sys.trace().events().empty());
+  EXPECT_TRUE(sys.telemetry().events().empty());
 }
 
 TEST(TraceIntegration, EventsAreTimeOrdered) {
   ClientServerSystem sys(cfg2());
-  sys.trace().enable(TraceCategory::kAll);
   sys.bootstrap();
   for (TxnId id{1}; id <= TxnId{6}; ++id) {
     const auto slot = static_cast<ClientId::Rep>(1 + (id.value() % 2));
@@ -83,10 +84,10 @@ TEST(TraceIntegration, EventsAreTimeOrdered) {
            {{ObjectId{7}, true}}));
   }
   sys.simulator().run_until(sim::SimTime{300});
-  const auto& ev = sys.trace().events();
+  const auto& ev = sys.telemetry().events();
   ASSERT_GT(ev.size(), 4u);
   for (std::size_t i = 1; i < ev.size(); ++i) {
-    EXPECT_LE(ev[i - 1].time, ev[i].time);
+    EXPECT_LE(ev[i - 1].t, ev[i].t);
   }
 }
 

@@ -225,6 +225,57 @@ TEST(TelemetryDigest, SensitiveToRecordsAndStableOnReplay) {
   EXPECT_NE(a.digest(), c.digest());
 }
 
+TEST(TelemetryDigest, CoversEveryExportedField) {
+  TelemetryConfig cfg;
+  cfg.spans = true;
+  cfg.events = true;
+  const auto digest_of_event = [&](ObjectId object, std::int32_t a,
+                                   std::int32_t b) {
+    Telemetry tel;
+    tel.configure(cfg);
+    tel.event(EventKind::kLockGrant, sim::SimTime{1.0}, kServerSite, TxnId{1},
+              object, a, b, 1.0);
+    return tel.digest();
+  };
+  const std::uint64_t base = digest_of_event(ObjectId{7}, 2, 1);
+  EXPECT_EQ(base, digest_of_event(ObjectId{7}, 2, 1));
+  EXPECT_NE(base, digest_of_event(ObjectId{8}, 2, 1));  // Event::object
+  EXPECT_NE(base, digest_of_event(ObjectId{7}, 3, 1));  // Event::a
+  EXPECT_NE(base, digest_of_event(ObjectId{7}, 2, 0));  // Event::b
+
+  // A committed span's worst holder (no blocker row is attributed).
+  const auto digest_of_span = [&](SiteId holder) {
+    Telemetry tel;
+    tel.configure(cfg);
+    tel.txn_admit(TxnId{1}, SiteId{1}, sim::SimTime{0.0}, sim::SimTime{9.0},
+                  sim::SimTime{0.0});
+    tel.lock_queued(TxnId{1}, ObjectId{7}, holder, sim::SimTime{1.0});
+    tel.lock_served(TxnId{1}, ObjectId{7}, sim::SimTime{2.0});
+    tel.txn_end(TxnId{1}, Outcome::kCommitted, sim::SimTime{3.0});
+    return tel.digest();
+  };
+  EXPECT_NE(digest_of_span(SiteId{3}), digest_of_span(SiteId{4}));
+
+  // A blocker row's holder: the row is attributed while holder `first`
+  // dominates, then a longer wait behind site 5 overwrites the span's
+  // worst holder, so the spans agree and only the rows differ.
+  const auto digest_of_row = [&](SiteId first) {
+    Telemetry tel;
+    tel.configure(cfg);
+    tel.txn_admit(TxnId{1}, SiteId{1}, sim::SimTime{0.0}, sim::SimTime{9.0},
+                  sim::SimTime{0.0});
+    tel.lock_queued(TxnId{1}, ObjectId{7}, first, sim::SimTime{1.0});
+    tel.lock_served(TxnId{1}, ObjectId{7}, sim::SimTime{2.0});
+    tel.txn_end(TxnId{1}, Outcome::kMissed, sim::SimTime{2.0});
+    tel.attribute_outcome(TxnId{1}, Outcome::kMissed);
+    tel.lock_queued(TxnId{1}, ObjectId{7}, SiteId{5}, sim::SimTime{2.0});
+    tel.lock_served(TxnId{1}, ObjectId{7}, sim::SimTime{4.0});
+    EXPECT_EQ(tel.spans_sorted()[0]->worst_holder, SiteId{5});
+    return tel.digest();
+  };
+  EXPECT_NE(digest_of_row(SiteId{3}), digest_of_row(SiteId{4}));
+}
+
 TEST(Export, JsonEscapeHandlesSpecials) {
   std::ostringstream os;
   json_escape(os, "a\"b\\c\nd\te\x01");

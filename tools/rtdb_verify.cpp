@@ -55,6 +55,7 @@
 #include "common/perf.hpp"
 #include "core/runner.hpp"
 #include "fault/fault.hpp"
+#include "obs/export.hpp"
 #include "obs/perf.hpp"
 
 namespace {
@@ -209,17 +210,21 @@ struct Run {
   std::uint64_t digest = 0;
 };
 
-Run run_one(core::SystemKind kind, const core::SystemConfig& cfg) {
+Run run_one(core::SystemKind kind, core::SystemConfig cfg) {
+  // Debug affordance: RTDB_TRACE=lock,fault,... records typed events so a
+  // failing proof can be diagnosed; RTDB_TRACE_DUMP=FILE appends the chosen
+  // categories as JSONL. Decided here, so every run a proof compares is
+  // configured the same way.
+  const std::uint32_t categories =
+      obs::parse_categories(std::getenv("RTDB_TRACE"));
+  if (categories != 0) cfg.telemetry.events = true;
   Run r;
   r.sys = core::make_system(kind, cfg);
-  // Debug affordance: RTDB_TRACE=lock,... fills the in-memory trace ring
-  // so a failing proof can be diagnosed (dump via RTDB_TRACE_DUMP=FILE).
-  r.sys->trace().enable_from_env();
   r.metrics = r.sys->run();
   if (const char* dump = std::getenv("RTDB_TRACE_DUMP");
-      dump != nullptr && r.sys->trace().active()) {
+      dump != nullptr && categories != 0) {
     std::ofstream os(dump, std::ios::app);
-    r.sys->trace().dump(os);
+    obs::write_jsonl(os, r.sys->telemetry(), categories);
   }
   r.base_digest = run_digest(*r.sys, r.metrics);
   Digest d;
