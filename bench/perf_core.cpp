@@ -6,8 +6,12 @@
 ///  * simulated-events/sec — kSimEventsFired over wall-clock seconds, the
 ///    headline throughput figure the CI gate tracks;
 ///  * wall-clock seconds (obs::WallClock, the one audited real-time seam);
-///  * peak RSS (getrusage) and allocation pressure (a counting global
-///    operator new in this TU — bench/ may do that, src/ may not);
+///  * the point's own peak RSS — the kernel's high-water mark (VmHWM) after
+///    a reset taken just before the point (malloc_trim, then `5` written to
+///    /proc/self/clear_refs), so an earlier, larger point cannot leak into
+///    a later one's figure; 0 where the kernel offers no reset;
+///  * allocation pressure (a counting global operator new in this TU —
+///    bench/ may do that, src/ may not);
 ///  * the full perf counter catalog and per-subsystem section-time
 ///    attribution (sim / net / lock / txn / obs).
 ///
@@ -39,7 +43,7 @@
 /// --events-only (the ctest gate) compares only the deterministic facts;
 /// full mode (CI perf-smoke) also gates events/sec regressions.
 
-#include <sys/resource.h>
+#include <malloc.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -155,10 +159,27 @@ struct Point {
   }
 };
 
+/// Opens a fresh peak-RSS window: returns freed heap to the kernel, then
+/// resets the process's high-water mark to its current RSS. False when the
+/// kernel refuses the reset (then no per-point peak exists).
+bool reset_peak_rss() {
+  malloc_trim(0);
+  std::ofstream clear_refs("/proc/self/clear_refs");
+  clear_refs << "5";
+  clear_refs.flush();
+  return static_cast<bool>(clear_refs);
+}
+
+/// Peak RSS in KiB since the last reset_peak_rss() (VmHWM); 0 if unknown.
 std::uint64_t peak_rss_kb() {
-  rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-  return static_cast<std::uint64_t>(ru.ru_maxrss);  // KiB on Linux
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtoull(line.c_str() + 6, nullptr, 10);
+    }
+  }
+  return 0;
 }
 
 Point measure(const SystemUnderTest& sut, std::size_t clients) {
@@ -167,6 +188,7 @@ Point measure(const SystemUnderTest& sut, std::size_t clients) {
   p.clients = clients;
   const auto cfg = perf_point_config(clients);
 
+  const bool rss_window = reset_peak_rss();
   perf::reset();
   obs::perf_enable_timing();
   const std::uint64_t allocs_before = g_alloc_count;
@@ -186,7 +208,7 @@ Point measure(const SystemUnderTest& sut, std::size_t clients) {
   }
   p.perf = perf::snapshot();
   obs::perf_disable_timing();
-  p.peak_rss_kb = peak_rss_kb();
+  p.peak_rss_kb = rss_window ? peak_rss_kb() : 0;
   return p;
 }
 

@@ -13,9 +13,10 @@ Two modes, matching the two kinds of figures perf_core emits:
 * full mode (the CI perf-smoke job): additionally gates wall-clock
   throughput -- a candidate point whose events/sec drops more than
   --max-regress (default 0.30, i.e. 30%) below the baseline fails --
-  and prints an informational per-section wall-time delta table showing
-  where attributed time moved. Only meaningful when baseline and candidate
-  ran on comparable hardware (in CI: the same runner class).
+  and prints two informational tables: per-section wall-time deltas
+  (where attributed time moved) and per-point peak_rss_kb (where memory
+  moved). Only meaningful when baseline and candidate ran on comparable
+  hardware (in CI: the same runner class).
 
 Point-set rules: candidate points must be a subset of the baseline's
 (a --quick candidate against a full baseline is the normal shape); a
@@ -132,6 +133,21 @@ def compare_sections(base, cand, shared):
         print(f"{name:>16} {b / 1e6:10.1f} {c / 1e6:10.1f} {ratio}")
 
 
+def compare_rss(base, cand, shared):
+    """Per-point peak RSS, baseline vs candidate.
+
+    Informational only (never fails): RSS is machine-local. A point without
+    a figure (0 or absent: the harness could not reset the high-water mark)
+    prints n/a.
+    """
+    print(f"{'point':>10} {'base KiB':>10} {'cand KiB':>10} {'ratio':>7}")
+    for key in sorted(shared):
+        b = base[key].get("peak_rss_kb", 0)
+        c = cand[key].get("peak_rss_kb", 0)
+        ratio = f"{c / b:7.2f}" if b and c else "    n/a"
+        print(f"{key[0] + '@' + str(key[1]):>10} {b:10} {c:10} {ratio}")
+
+
 def compare_throughput(base, cand, shared, max_regress):
     """events/sec ratio gate; returns failure count."""
     failures = 0
@@ -191,6 +207,7 @@ def main():
     if not args.events_only:
         failures += compare_throughput(base, cand, shared, args.max_regress)
         compare_sections(base, cand, shared)
+        compare_rss(base, cand, shared)
 
     if failures:
         print(f"perf_compare: {failures} failure(s)")

@@ -16,6 +16,14 @@
 /// treated the two identically. No iteration is offered either; every
 /// consumer does point reads/writes (the audits that need enumeration keep
 /// real tables).
+///
+/// Cost: the array grows to sizeof(V) × (highest id written + 1), whatever
+/// the number of live entries. Kept once per system (the server's and the
+/// auditor's version tables) that is a fixed price. Kept once per *client*
+/// it costs clients × db_size, so a per-site array must justify its bytes
+/// per object: `ClientNode::server_mode_` is 1 B and the client's hottest
+/// lookup. State whose extent follows what a client holds belongs with
+/// the holding (copy versions ride in the `storage::ClientCache` frames).
 
 namespace rtdb::common {
 

@@ -20,7 +20,9 @@ ClientNode::ClientNode(ClientServerSystem& sys, ClientId id, std::size_t index)
       cache_(sys.sim(), sys.cfg().client_cache),
       cpu_(sys.sim()) {
   cache_.set_eviction_hook(
-      [this](ObjectId obj, bool dirty) { on_cache_eviction(obj, dirty); });
+      [this](ObjectId obj, bool dirty, std::uint64_t version) {
+        on_cache_eviction(obj, dirty, version);
+      });
 }
 
 ClientNode::Live* ClientNode::find(TxnId id) {
@@ -143,7 +145,6 @@ void ClientNode::crash() {
   std::sort(dirty.begin(), dirty.end());
   for (ObjectId obj : dirty) sys_.accounted_loss(obj);
   server_mode_.clear();
-  version_.clear();
   duties_.clear();
   deferred_recalls_.clear();
   atl_.reset();
@@ -184,10 +185,8 @@ void ClientNode::on_server_crash() {
     auto it = duties_.find(obj);
     ForwardDuty& duty = it->second;
     if (duty.bound != kInvalidTxn) {
-      cache_.insert(obj, /*dirty=*/false);
-      if (duty.dirty) cache_.mark_dirty(obj);
+      cache_.insert(obj, duty.dirty, duty.version);
       server_mode_.slot(obj) = LockMode::kExclusive;
-      version_.slot(obj) = duty.version;
     } else if (duty.dirty) {
       sys_.accounted_loss(obj);
     }
@@ -232,7 +231,7 @@ void ClientNode::on_server_restart(bool failover) {
     e.object = obj;
     e.mode = mode;
     e.dirty = cache_.contains(obj) && cache_.is_dirty(obj);
-    e.version = version_of(obj);
+    e.version = cache_.version_of(obj);
     entries.push_back(e);
   }
   sys_.sim().cancel(reassert_.timer);
@@ -290,7 +289,7 @@ void ClientNode::late_reassert(ObjectId obj) {
   e.object = obj;
   e.mode = cached_server_mode(obj);
   e.dirty = cache_.contains(obj) && cache_.is_dirty(obj);
-  e.version = version_of(obj);
+  e.version = cache_.version_of(obj);
   bool found = false;
   for (auto& existing : reassert_.entries) {
     if (existing.object == obj) {
@@ -318,11 +317,8 @@ void ClientNode::expire_lease(ObjectId obj) {
   auto& stats = sys_.injector()->stats();
   ++stats.lease_expiries;
   if (cached_server_mode(obj) == LockMode::kNone) return;  // already gone
-  const bool dirty = cache_.contains(obj) && cache_.is_dirty(obj);
   server_mode_.slot(obj) = LockMode::kNone;
-  version_.slot(obj) = 0;
-  cache_.drop(obj);
-  if (dirty) sys_.accounted_loss(obj);
+  if (cache_.drop(obj).value_or(false)) sys_.accounted_loss(obj);
   // Local transactions using the object lost their data (and possibly read
   // a version another site may now overwrite): abort them rather than let
   // a stale access reach the consistency auditor.
@@ -427,7 +423,6 @@ void ClientNode::return_retry_fired(ObjectId obj) {
 void ClientNode::warm_insert(ObjectId obj) {
   cache_.insert(obj, /*dirty=*/false);
   server_mode_.slot(obj) = LockMode::kShared;
-  version_.slot(obj) = 0;
 }
 
 void ClientNode::begin(txn::Transaction t, SiteId origin, bool remote,
@@ -1149,13 +1144,12 @@ void ClientNode::commit(TxnId id) {
         ++duty->second.version;
         sys_.auditor().on_write_commit(obj, site_, duty->second.version, now);
       } else {
-        cache_.mark_dirty(obj);
-        const std::uint64_t v = ++version_.slot(obj);
+        const std::uint64_t v = cache_.commit_write(obj);
         sys_.auditor().on_write_commit(obj, site_, v, now);
       }
     } else {
       const std::uint64_t v =
-          via_duty ? duty->second.version : version_of(obj);
+          via_duty ? duty->second.version : cache_.version_of(obj);
       sys_.auditor().on_read_commit(obj, site_, v, now);
     }
   }
@@ -1290,11 +1284,9 @@ void ClientNode::handle_incoming_object(Grant g, bool via_forward) {
     // list is abandoned (each skipped entry's client re-requests through
     // its own retry path), and once the server is back the hold is folded
     // into the rebuilt table by a late re-assertion.
-    cache_.insert(g.object, /*dirty=*/false);
-    if (g.dirty) cache_.mark_dirty(g.object);
+    cache_.insert(g.object, g.dirty, g.version);
     server_mode_.slot(g.object) =
         lock::stronger(cached_server_mode(g.object), g.mode);
-    version_.slot(g.object) = g.version;
     if (live && txn::is_live(live->t.state) &&
         live->awaiting.count(g.object)) {
       need_satisfied(g.txn, g.object);
@@ -1317,10 +1309,9 @@ void ClientNode::handle_incoming_object(Grant g, bool via_forward) {
     // Shared fan-out hop: the copy is ours to keep (the server registered
     // our SL when the list shipped) and the remainder of the list is
     // served immediately — readers overlap instead of serializing.
-    cache_.insert(g.object, /*dirty=*/false);
+    cache_.insert(g.object, /*dirty=*/false, g.version);
     server_mode_.slot(g.object) =
         lock::stronger(cached_server_mode(g.object), LockMode::kShared);
-    version_.slot(g.object) = g.version;
     if (live && txn::is_live(live->t.state) &&
         live->awaiting.count(g.object)) {
       auto mark = live->request_marks.find(g.object);
@@ -1356,7 +1347,6 @@ void ClientNode::handle_incoming_object(Grant g, bool via_forward) {
     // a stale reader.
     cache_.drop(g.object);
     server_mode_.slot(g.object) = LockMode::kNone;
-    version_.slot(g.object) = 0;
     ForwardDuty duty;
     duty.rest = std::move(g.forward_list);
     duty.dirty = g.dirty;
@@ -1414,12 +1404,11 @@ void ClientNode::handle_incoming_object(Grant g, bool via_forward) {
     // a dirty page or roll the local version back.
     const bool stale = sys_.faults_active() && cache_.contains(g.object) &&
                        (cache_.is_dirty(g.object) ||
-                        version_of(g.object) > g.version);
+                        cache_.version_of(g.object) > g.version);
     if (stale) {
       ++sys_.injector()->stats().stale_grants_ignored;
     } else {
-      cache_.insert(g.object, /*dirty=*/false);
-      version_.slot(g.object) = g.version;
+      cache_.insert(g.object, /*dirty=*/false, g.version);
     }
   }
   server_mode_.slot(g.object) =
@@ -1565,7 +1554,7 @@ void ClientNode::process_recall(ObjectId obj, LockMode wanted) {
   ObjectReturn ret;
   ret.client = id_;
   ret.object = obj;
-  ret.version = version_of(obj);
+  ret.version = cache_.version_of(obj);
   ret.load = current_load();
 
   if (wanted == LockMode::kShared && held == LockMode::kShared) {
@@ -1583,7 +1572,6 @@ void ClientNode::process_recall(ObjectId obj, LockMode wanted) {
     ret.dirty = cache_.is_dirty(obj);
     ret.downgraded = false;
     server_mode_.slot(obj) = LockMode::kNone;
-    version_.slot(obj) = 0;
     cache_.drop(obj);
   }
   send_return(ret);
@@ -1609,7 +1597,8 @@ void ClientNode::check_deferred_recalls(const std::vector<ObjectId>& objs) {
   }
 }
 
-void ClientNode::on_cache_eviction(ObjectId obj, bool dirty) {
+void ClientNode::on_cache_eviction(ObjectId obj, bool dirty,
+                                   std::uint64_t version) {
   // The object fell out of both cache tiers: the client cannot claim the
   // lock any longer — return it (with the update when dirty).
   if (cached_server_mode(obj) == LockMode::kNone) return;
@@ -1622,8 +1611,7 @@ void ClientNode::on_cache_eviction(ObjectId obj, bool dirty) {
   ret.client = id_;
   ret.object = obj;
   ret.dirty = dirty;
-  ret.version = version_of(obj);
-  version_.slot(obj) = 0;
+  ret.version = version;
   ret.load = current_load();
   send_return(ret);
 }

@@ -215,7 +215,7 @@ class ClientNode {
   void check_deferred_recalls(const std::vector<ObjectId>& objs);
   void fulfil_forward_duty(ObjectId obj);
   void handle_incoming_object(Grant g, bool via_forward);
-  void on_cache_eviction(ObjectId obj, bool dirty);
+  void on_cache_eviction(ObjectId obj, bool dirty, std::uint64_t version);
 
   /// Every ObjectReturn leaves through here. While faults are active, a
   /// dirty non-circulation return (the only copy of a committed version)
@@ -256,16 +256,10 @@ class ClientNode {
   /// "no cached lock" (kNone), exactly like the absent map entry it
   /// replaced. cached_server_mode() is the hottest single lookup in the
   /// whole client (every need evaluation hits it) — a vector load beats
-  /// the former unordered_map probe by an order of magnitude.
+  /// the former unordered_map probe by an order of magnitude. That speed
+  /// costs 1 B per object per client; the 8-byte copy versions are not
+  /// worth that shape and live in cache_, next to the copies they describe.
   common::DenseArray<ObjectId, lock::LockMode> server_mode_;
-
-  /// Version of each cached copy (consistency auditing; see auditor.hpp).
-  /// Same dense indexing; slot value 0 == "no recorded version".
-  common::DenseArray<ObjectId, std::uint64_t> version_;
-
-  [[nodiscard]] std::uint64_t version_of(ObjectId obj) const {
-    return version_.value_or_default(obj);
-  }
 
   std::unordered_map<TxnId, std::unique_ptr<Live>> live_;
   std::unordered_map<TxnId, Parent> parents_;

@@ -37,7 +37,6 @@ void OptimisticSystem::start() {
       const ObjectId last{static_cast<ObjectId::Rep>(first.value() + span)};
       for (ObjectId obj = first; obj < last; ++obj) {
         clients_[i]->cache.insert(obj, /*dirty=*/false);
-        clients_[i]->version[obj] = 0;
       }
     }
   }
@@ -173,8 +172,7 @@ void OptimisticSystem::begin_attempt(TxnId id) {
                                       sim_.now() - fetch_start - disk_d);
                                 }
                                 ClientState& st = state_of(*l);
-                                st.cache.insert(obj, /*dirty=*/false);
-                                st.version[obj] = v;
+                                st.cache.insert(obj, /*dirty=*/false, v);
                                 if (--l->fetches_pending == 0 &&
                                     l->cache_ios == 0) {
                                   on_all_fetched(id);
@@ -194,8 +192,7 @@ void OptimisticSystem::on_all_fetched(TxnId id) {
   ClientState& cs = state_of(*live);
   for (const auto& [obj, mode] : live->t.lock_needs()) {
     (void)mode;
-    const auto it = cs.version.find(obj);
-    live->read_set.emplace_back(obj, it == cs.version.end() ? 0 : it->second);
+    live->read_set.emplace_back(obj, cs.cache.version_of(obj));
   }
   live->t.state = txn::TxnState::kReady;
   if (tel_.spans_enabled()) tel_.txn_ready(id, sim_.now());
@@ -381,8 +378,7 @@ void OptimisticSystem::on_verdict(
   // and the restart budget allow.
   ClientState& cs = state_of(*live);
   for (const auto& [obj, v] : fresh) {
-    cs.cache.insert(obj, /*dirty=*/false);
-    cs.version[obj] = v;
+    cs.cache.insert(obj, /*dirty=*/false, v);
   }
   ++live->restarts;
   ++live->epoch;
@@ -473,7 +469,6 @@ void OptimisticSystem::on_site_crash(std::size_t client_index) {
   const auto dirty = cs.cache.clear();
   assert(dirty.empty());
   (void)dirty;
-  cs.version.clear();
   cs.ready.clear();
   cs.busy_slots = 0;
 }

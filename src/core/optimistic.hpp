@@ -68,7 +68,6 @@ class OptimisticSystem final : public System {
         : cache(sim, cfg), cpu(sim) {}
     storage::ClientCache cache;
     sim::SerialResource cpu;
-    std::unordered_map<ObjectId, std::uint64_t> version;
     txn::EdfQueue<TxnId> ready;
     std::size_t busy_slots = 0;
   };

@@ -1,13 +1,14 @@
 #include "storage/buffer_manager.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/check.hpp"
 
 namespace rtdb::storage {
 
-template <class Id>
-void LruBuffer<Id>::validate_invariants() const {
+template <class Id, class Payload>
+void LruBuffer<Id, Payload>::validate_invariants() const {
   RTDB_CHECK(index_.size() <= capacity_,
              "%zu resident pages exceed capacity %zu", index_.size(),
              capacity_);
@@ -46,15 +47,15 @@ void LruBuffer<Id>::validate_invariants() const {
              free_walked, frames_.size());
 }
 
-template <class Id>
-LruBuffer<Id>::LruBuffer(std::size_t capacity) : capacity_(capacity) {
+template <class Id, class Payload>
+LruBuffer<Id, Payload>::LruBuffer(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0) {
     throw std::invalid_argument("LruBuffer capacity must be >= 1");
   }
 }
 
-template <class Id>
-void LruBuffer<Id>::unlink(std::uint32_t slot) {
+template <class Id, class Payload>
+void LruBuffer<Id, Payload>::unlink(std::uint32_t slot) {
   Frame& f = frames_[slot];
   if (f.prev != kNull) {
     frames_[f.prev].next = f.next;
@@ -68,8 +69,8 @@ void LruBuffer<Id>::unlink(std::uint32_t slot) {
   }
 }
 
-template <class Id>
-void LruBuffer<Id>::link_front(std::uint32_t slot) {
+template <class Id, class Payload>
+void LruBuffer<Id, Payload>::link_front(std::uint32_t slot) {
   Frame& f = frames_[slot];
   f.prev = kNull;
   f.next = head_;
@@ -78,15 +79,15 @@ void LruBuffer<Id>::link_front(std::uint32_t slot) {
   if (tail_ == kNull) tail_ = slot;
 }
 
-template <class Id>
-void LruBuffer<Id>::touch(std::uint32_t slot) {
+template <class Id, class Payload>
+void LruBuffer<Id, Payload>::touch(std::uint32_t slot) {
   if (head_ == slot) return;
   unlink(slot);
   link_front(slot);
 }
 
-template <class Id>
-bool LruBuffer<Id>::reference(Id id) {
+template <class Id, class Payload>
+bool LruBuffer<Id, Payload>::reference(Id id) {
   const std::uint32_t* slot = index_.find(id);
   if (slot == nullptr) {
     misses_.inc();
@@ -97,20 +98,20 @@ bool LruBuffer<Id>::reference(Id id) {
   return true;
 }
 
-template <class Id>
-std::optional<typename LruBuffer<Id>::Evicted> LruBuffer<Id>::insert(
-    Id id, bool dirty) {
+template <class Id, class Payload>
+std::optional<typename LruBuffer<Id, Payload>::Entry>
+LruBuffer<Id, Payload>::insert(Id id, bool dirty, Payload payload) {
   if (const std::uint32_t* slot = index_.find(id)) {
     touch(*slot);
     Frame& f = frames_[*slot];
     f.dirty = f.dirty || dirty;
     return std::nullopt;
   }
-  std::optional<Evicted> evicted;
+  std::optional<Entry> evicted;
   if (index_.size() >= capacity_) {
     const std::uint32_t victim = tail_;
     Frame& v = frames_[victim];
-    evicted = Evicted{v.id, v.dirty};
+    evicted = Entry{v.id, v.dirty, std::move(v.payload)};
     index_.erase(v.id);
     unlink(victim);
     v.next = free_head_;
@@ -126,54 +127,69 @@ std::optional<typename LruBuffer<Id>::Evicted> LruBuffer<Id>::insert(
   }
   frames_[slot].id = id;
   frames_[slot].dirty = dirty;
+  frames_[slot].payload = std::move(payload);
   link_front(slot);
   index_.get_or_insert(id) = slot;
   return evicted;
 }
 
-template <class Id>
-bool LruBuffer<Id>::mark_dirty(Id id) {
+template <class Id, class Payload>
+bool LruBuffer<Id, Payload>::mark_dirty(Id id) {
   const std::uint32_t* slot = index_.find(id);
   if (slot == nullptr) return false;
   frames_[*slot].dirty = true;
   return true;
 }
 
-template <class Id>
-bool LruBuffer<Id>::is_dirty(Id id) const {
+template <class Id, class Payload>
+bool LruBuffer<Id, Payload>::is_dirty(Id id) const {
   const std::uint32_t* slot = index_.find(id);
   return slot != nullptr && frames_[*slot].dirty;
 }
 
-template <class Id>
-std::optional<bool> LruBuffer<Id>::erase(Id id) {
+template <class Id, class Payload>
+Payload* LruBuffer<Id, Payload>::payload(Id id) {
+  const std::uint32_t* slot = index_.find(id);
+  return slot == nullptr ? nullptr : &frames_[*slot].payload;
+}
+
+template <class Id, class Payload>
+const Payload* LruBuffer<Id, Payload>::payload(Id id) const {
+  const std::uint32_t* slot = index_.find(id);
+  return slot == nullptr ? nullptr : &frames_[*slot].payload;
+}
+
+template <class Id, class Payload>
+std::optional<typename LruBuffer<Id, Payload>::Entry>
+LruBuffer<Id, Payload>::take(Id id) {
   const std::uint32_t* slot = index_.find(id);
   if (slot == nullptr) return std::nullopt;
   const std::uint32_t s = *slot;
-  const bool dirty = frames_[s].dirty;
+  Frame& f = frames_[s];
+  Entry gone{f.id, f.dirty, std::move(f.payload)};
   unlink(s);
-  frames_[s].next = free_head_;
+  f.next = free_head_;
   free_head_ = s;
   index_.erase(id);
-  return dirty;
+  return gone;
 }
 
-template <class Id>
-double LruBuffer<Id>::hit_rate() const {
+template <class Id, class Payload>
+double LruBuffer<Id, Payload>::hit_rate() const {
   const auto total = hits_.value() + misses_.value();
   return total ? static_cast<double>(hits_.value()) /
                      static_cast<double>(total)
                : 0.0;
 }
 
-template <class Id>
-std::optional<Id> LruBuffer<Id>::lru_victim() const {
+template <class Id, class Payload>
+std::optional<Id> LruBuffer<Id, Payload>::lru_victim() const {
   if (tail_ == kNull) return std::nullopt;
   return frames_[tail_].id;
 }
 
-template <class Id>
-std::vector<Id> LruBuffer<Id>::resident_pages() const {
+template <class Id, class Payload>
+std::vector<Id> LruBuffer<Id, Payload>::resident_pages() const {
   std::vector<Id> pages;
   pages.reserve(index_.size());
   for (std::uint32_t s = head_; s != kNull; s = frames_[s].next) {
@@ -183,6 +199,6 @@ std::vector<Id> LruBuffer<Id>::resident_pages() const {
 }
 
 template class LruBuffer<PageId>;
-template class LruBuffer<ObjectId>;
+template class LruBuffer<ObjectId, std::uint64_t>;
 
 }  // namespace rtdb::storage

@@ -16,10 +16,16 @@
 ///
 /// The structure is id-generic: the server's paged file buffers `PageId`
 /// frames (`BufferManager`), while the client cache tiers buffer whole
-/// objects (`LruBuffer<ObjectId>`). The strong id types keep the two from
-/// ever being mixed — a page can't be inserted into an object tier.
+/// objects (`LruBuffer<ObjectId, std::uint64_t>`, each frame carrying the
+/// copy's version). The strong id types keep the two from ever being mixed
+/// — a page can't be inserted into an object tier. A frame's payload rides
+/// along with its id and dirty bit; the server's pages carry none, and an
+/// empty payload adds no bytes to a frame.
 
 namespace rtdb::storage {
+
+/// The payload of a frame that carries nothing beyond its dirty bit.
+struct NoPayload {};
 
 /// Tracks a set of resident entries with LRU replacement and dirty bits.
 ///
@@ -29,13 +35,14 @@ namespace rtdb::storage {
 /// caller so it can schedule the write-back (the PF buffer manager's
 /// behaviour: "updated objects ... are automatically written back to the
 /// disk file ... when the page is replaced").
-template <class Id>
+template <class Id, class Payload = NoPayload>
 class LruBuffer {
  public:
-  /// What LRU displaced to make room.
-  struct Evicted {
+  /// A frame's contents as it leaves the pool (LRU displacement or erase).
+  struct Entry {
     Id id{};
     bool dirty = false;
+    [[no_unique_address]] Payload payload{};
   };
 
   /// `capacity` — number of 2 KB frames the pool holds (>= 1).
@@ -50,9 +57,11 @@ class LruBuffer {
   /// Returns true on hit.
   bool reference(Id id);
 
-  /// Makes `id` resident (MRU), evicting the LRU entry if the pool is full.
-  /// No-op (recency bump) if already resident. Returns the eviction, if any.
-  std::optional<Evicted> insert(Id id, bool dirty = false);
+  /// Makes `id` resident (MRU) with `payload`, evicting the LRU entry if the
+  /// pool is full. If already resident: recency bump, dirty bits OR-ed, the
+  /// payload kept. Returns the eviction, if any.
+  std::optional<Entry> insert(Id id, bool dirty = false,
+                              Payload payload = {});
 
   /// Marks a resident entry dirty. Returns false if not resident.
   bool mark_dirty(Id id);
@@ -60,9 +69,19 @@ class LruBuffer {
   /// True if resident and dirty.
   [[nodiscard]] bool is_dirty(Id id) const;
 
+  /// The payload of a resident entry, or nullptr. No recency effect.
+  [[nodiscard]] Payload* payload(Id id);
+  [[nodiscard]] const Payload* payload(Id id) const;
+
   /// Drops an entry without write-back bookkeeping (caller decides what the
   /// removal means). Returns the entry's dirty state, or nullopt if absent.
-  std::optional<bool> erase(Id id);
+  std::optional<bool> erase(Id id) {
+    auto gone = take(id);
+    return gone ? std::optional<bool>(gone->dirty) : std::nullopt;
+  }
+
+  /// erase() that hands back the whole entry, payload included.
+  std::optional<Entry> take(Id id);
 
   [[nodiscard]] std::size_t size() const { return index_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
@@ -104,6 +123,7 @@ class LruBuffer {
     bool dirty = false;
     std::uint32_t prev = kNull;
     std::uint32_t next = kNull;
+    [[no_unique_address]] Payload payload{};
   };
 
   /// Moves a resident frame to the MRU position.
@@ -122,7 +142,7 @@ class LruBuffer {
 };
 
 extern template class LruBuffer<PageId>;
-extern template class LruBuffer<ObjectId>;
+extern template class LruBuffer<ObjectId, std::uint64_t>;
 
 /// The server-side page pool: frames are pages of the paged file.
 using BufferManager = LruBuffer<PageId>;

@@ -12,13 +12,17 @@ CacheTier ClientCache::tier_of(ObjectId id) const {
   return CacheTier::kNone;
 }
 
-void ClientCache::place_in_memory(ObjectId id, bool dirty) {
-  auto demoted = memory_.insert(id, dirty);
+void ClientCache::place_in_memory(ObjectId id, bool dirty,
+                                  std::uint64_t version) {
+  auto demoted = memory_.insert(id, dirty, version);
   if (!demoted) return;
   // Demotion writes the object to the local disk cache file.
   disk_.write();
-  auto evicted = disk_tier_.insert(demoted->id, demoted->dirty);
-  if (evicted && on_evict_) on_evict_(evicted->id, evicted->dirty);
+  auto evicted =
+      disk_tier_.insert(demoted->id, demoted->dirty, demoted->payload);
+  if (evicted && on_evict_) {
+    on_evict_(evicted->id, evicted->dirty, evicted->payload);
+  }
 }
 
 bool ClientCache::access(ObjectId id, bool write, sim::Simulator::Callback done) {
@@ -33,9 +37,8 @@ bool ClientCache::access(ObjectId id, bool write, sim::Simulator::Callback done)
     }
     case CacheTier::kDisk: {
       hits_.inc();
-      const bool was_dirty = disk_tier_.is_dirty(id);
-      disk_tier_.erase(id);
-      place_in_memory(id, was_dirty || write);
+      const auto copy = disk_tier_.take(id);
+      place_in_memory(id, copy->dirty || write, copy->payload);
       disk_.read(std::move(done));
       return true;
     }
@@ -46,23 +49,38 @@ bool ClientCache::access(ObjectId id, bool write, sim::Simulator::Callback done)
   return false;  // unreachable
 }
 
-void ClientCache::insert(ObjectId id, bool dirty) {
-  if (tier_of(id) != CacheTier::kNone) {
-    // Already cached (e.g. re-granted lock on a resident object): refresh
-    // recency and dirty state in place.
-    if (memory_.contains(id)) {
-      memory_.reference(id);
-      if (dirty) memory_.mark_dirty(id);
-    } else if (dirty) {
-      disk_tier_.mark_dirty(id);
-    }
-    return;
+void ClientCache::insert(ObjectId id, bool dirty, std::uint64_t version) {
+  // Already cached (e.g. re-granted lock on a resident object): refresh
+  // recency, dirty state and version in place.
+  if (std::uint64_t* v = memory_.payload(id)) {
+    memory_.reference(id);
+    if (dirty) memory_.mark_dirty(id);
+    *v = version;
+  } else if (std::uint64_t* v = disk_tier_.payload(id)) {
+    if (dirty) disk_tier_.mark_dirty(id);
+    *v = version;
+  } else {
+    place_in_memory(id, dirty, version);
   }
-  place_in_memory(id, dirty);
 }
 
-bool ClientCache::mark_dirty(ObjectId id) {
-  return memory_.mark_dirty(id) || disk_tier_.mark_dirty(id);
+std::uint64_t ClientCache::version_of(ObjectId id) const {
+  if (const std::uint64_t* v = memory_.payload(id)) return *v;
+  if (const std::uint64_t* v = disk_tier_.payload(id)) return *v;
+  return 0;
+}
+
+std::uint64_t ClientCache::commit_write(ObjectId id) {
+  std::uint64_t* v = memory_.payload(id);
+  if (v != nullptr) {
+    memory_.mark_dirty(id);
+  } else {
+    v = disk_tier_.payload(id);
+    RTDB_CHECK(v != nullptr, "update committed to uncached object %u",
+               id.value());
+    disk_tier_.mark_dirty(id);
+  }
+  return ++*v;
 }
 
 bool ClientCache::is_dirty(ObjectId id) const {
@@ -75,14 +93,12 @@ std::optional<bool> ClientCache::drop(ObjectId id) {
 }
 
 void ClientCache::mark_clean(ObjectId id) {
-  // Re-inserting at the same tier with a clean bit: BufferManager has no
-  // "clear dirty", so erase + insert preserving tier.
-  if (memory_.contains(id)) {
-    memory_.erase(id);
-    memory_.insert(id, /*dirty=*/false);
-  } else if (disk_tier_.contains(id)) {
-    disk_tier_.erase(id);
-    disk_tier_.insert(id, /*dirty=*/false);
+  // Re-inserting at the same tier with a clean bit: LruBuffer has no
+  // "clear dirty", so take + insert preserving tier and version.
+  if (auto copy = memory_.take(id)) {
+    memory_.insert(id, /*dirty=*/false, copy->payload);
+  } else if (auto copy = disk_tier_.take(id)) {
+    disk_tier_.insert(id, /*dirty=*/false, copy->payload);
   }
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -16,6 +17,10 @@
 /// memory evictions demote to the disk tier; disk-tier evictions leave the
 /// cache entirely and are reported through a hook so the owning client can
 /// return dirty objects (and their locks) to the server.
+///
+/// The cache is the one owner of per-copy state: each resident copy carries
+/// its version next to its dirty bit, so a client pays for the copies it
+/// holds, never for the size of the database.
 
 namespace rtdb::storage {
 
@@ -33,8 +38,9 @@ enum class CacheTier : std::uint8_t { kNone, kMemory, kDisk };
 /// The client-side local dataspace.
 class ClientCache {
  public:
-  /// (object, was-dirty): the object fell out of the cache entirely.
-  using EvictionHook = std::function<void(ObjectId, bool)>;
+  /// (object, was-dirty, version): the copy fell out of the cache entirely.
+  /// The frame is gone when the hook runs, so it carries the copy's state.
+  using EvictionHook = std::function<void(ObjectId, bool, std::uint64_t)>;
 
   ClientCache(sim::Simulator& sim, ClientCacheConfig config)
       : sim_(sim),
@@ -64,28 +70,35 @@ class ClientCache {
   /// fetches it from the server and insert()s it.
   bool access(ObjectId id, bool write, sim::Simulator::Callback done);
 
-  /// Installs an object fetched from the server into the memory tier,
-  /// cascading demotions/evictions.
-  void insert(ObjectId id, bool dirty = false);
+  /// Installs a copy fetched from the server, at `version`, into the memory
+  /// tier, cascading demotions/evictions. A copy already cached is refreshed
+  /// in place: recency (memory tier), dirty bit OR-ed, version replaced.
+  void insert(ObjectId id, bool dirty = false, std::uint64_t version = 0);
 
-  /// Marks a cached object dirty (in whichever tier). False if absent.
-  bool mark_dirty(ObjectId id);
+  /// Version of the cached copy; 0 when the object is not cached.
+  [[nodiscard]] std::uint64_t version_of(ObjectId id) const;
+
+  /// A committed update of a cached copy: marks it dirty and advances its
+  /// version, which it returns. The copy must be cached.
+  std::uint64_t commit_write(ObjectId id);
 
   /// True if cached and dirty.
   [[nodiscard]] bool is_dirty(ObjectId id) const;
 
-  /// Removes an object (e.g. on a server recall). Returns its dirty state,
-  /// or nullopt if it was not cached. Does NOT fire the eviction hook —
-  /// the caller initiated the removal and handles the consequences.
+  /// Removes an object (e.g. on a server recall), forgetting its version.
+  /// Returns its dirty state, or nullopt if it was not cached. Does NOT
+  /// fire the eviction hook — the caller initiated the removal and handles
+  /// the consequences.
   std::optional<bool> drop(ObjectId id);
 
-  /// Clears the dirty bit (after the update was returned to the server).
+  /// Clears the dirty bit (after the update was returned to the server);
+  /// the copy keeps its tier and its version.
   void mark_clean(ObjectId id);
 
-  /// Crash wipe (fault injection): empties both tiers at once, without
-  /// firing the eviction hook — the site lost its volatile state, nothing
-  /// orderly happens. Returns the dirty objects that were destroyed so the
-  /// caller can account the lost versions.
+  /// Crash wipe (fault injection): empties both tiers at once, versions
+  /// included, without firing the eviction hook — the site lost its
+  /// volatile state, nothing orderly happens. Returns the dirty objects
+  /// that were destroyed so the caller can account the lost versions.
   std::vector<ObjectId> clear();
 
   /// Cache-level accounting for the paper's Table 2: a hit is an access
@@ -111,15 +124,18 @@ class ClientCache {
   }
 
  private:
+  /// One tier: LRU frames whose payload is the copy's version.
+  using Tier = LruBuffer<ObjectId, std::uint64_t>;
+
   /// Moves an object into the memory tier, demoting the LRU victim to the
   /// disk tier and possibly evicting from there.
-  void place_in_memory(ObjectId id, bool dirty);
+  void place_in_memory(ObjectId id, bool dirty, std::uint64_t version);
 
   sim::Simulator& sim_;
   ClientCacheConfig config_;
   Disk disk_;
-  LruBuffer<ObjectId> memory_;
-  LruBuffer<ObjectId> disk_tier_;
+  Tier memory_;
+  Tier disk_tier_;
   EvictionHook on_evict_;
   sim::Counter hits_;
   sim::Counter misses_;

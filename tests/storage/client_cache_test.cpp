@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace rtdb::storage {
@@ -48,16 +49,24 @@ TEST(ClientCache, DemotionWritesLocalDisk) {
 TEST(ClientCache, FullEvictionFiresHook) {
   sim::Simulator sim;
   ClientCache cache(sim, cfg(1, 1));
-  std::vector<std::pair<ObjectId, bool>> evicted;
-  cache.set_eviction_hook(
-      [&](ObjectId id, bool dirty) { evicted.emplace_back(id, dirty); });
-  cache.insert(ObjectId{1}, /*dirty=*/true);
-  cache.insert(ObjectId{2});
+  struct Gone {
+    ObjectId id;
+    bool dirty;
+    std::uint64_t version;
+  };
+  std::vector<Gone> evicted;
+  cache.set_eviction_hook([&](ObjectId id, bool dirty, std::uint64_t v) {
+    evicted.push_back({id, dirty, v});
+  });
+  cache.insert(ObjectId{1}, /*dirty=*/true, /*version=*/7);
+  cache.insert(ObjectId{2}, /*dirty=*/false, /*version=*/3);
   cache.insert(ObjectId{3});  // 1 falls off the disk tier, dirty
   ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0].first, ObjectId{1});
-  EXPECT_TRUE(evicted[0].second);
+  EXPECT_EQ(evicted[0].id, ObjectId{1});
+  EXPECT_TRUE(evicted[0].dirty);
+  EXPECT_EQ(evicted[0].version, 7u);
   EXPECT_FALSE(cache.contains(ObjectId{1}));
+  EXPECT_EQ(cache.version_of(ObjectId{1}), 0u);
 }
 
 TEST(ClientCache, AccessMemoryHitIsFast) {
@@ -107,26 +116,34 @@ TEST(ClientCache, WriteAccessDirties) {
 TEST(ClientCache, DirtySurvivesDemotion) {
   sim::Simulator sim;
   ClientCache cache(sim, cfg(1, 2));
-  cache.insert(ObjectId{1}, true);
-  cache.insert(ObjectId{2});
+  cache.insert(ObjectId{1}, true, /*version=*/5);
+  cache.insert(ObjectId{2}, false, /*version=*/9);
   EXPECT_EQ(cache.tier_of(ObjectId{1}), CacheTier::kDisk);
   EXPECT_TRUE(cache.is_dirty(ObjectId{1}));
-  // And back up on access.
+  EXPECT_EQ(cache.version_of(ObjectId{1}), 5u);
+  // And back up on access (which demotes 2 in turn).
   cache.access(ObjectId{1}, false, [] {});
   sim.run();
   EXPECT_EQ(cache.tier_of(ObjectId{1}), CacheTier::kMemory);
   EXPECT_TRUE(cache.is_dirty(ObjectId{1}));
+  EXPECT_EQ(cache.version_of(ObjectId{1}), 5u);
+  EXPECT_EQ(cache.tier_of(ObjectId{2}), CacheTier::kDisk);
+  EXPECT_EQ(cache.version_of(ObjectId{2}), 9u);
 }
 
 TEST(ClientCache, DropRemovesAndReportsDirty) {
   sim::Simulator sim;
   ClientCache cache(sim, cfg());
-  cache.insert(ObjectId{1}, true);
+  cache.insert(ObjectId{1}, true, /*version=*/4);
   auto dirty = cache.drop(ObjectId{1});
   ASSERT_TRUE(dirty.has_value());
   EXPECT_TRUE(*dirty);
   EXPECT_FALSE(cache.contains(ObjectId{1}));
+  EXPECT_EQ(cache.version_of(ObjectId{1}), 0u);
   EXPECT_FALSE(cache.drop(ObjectId{1}).has_value());
+  // A later copy starts from the version it is installed with.
+  cache.insert(ObjectId{1});
+  EXPECT_EQ(cache.version_of(ObjectId{1}), 0u);
 }
 
 TEST(ClientCache, MarkCleanClearsDirty) {
@@ -141,11 +158,15 @@ TEST(ClientCache, MarkCleanClearsDirty) {
 TEST(ClientCache, MarkCleanPreservesTier) {
   sim::Simulator sim;
   ClientCache cache(sim, cfg(1, 2));
-  cache.insert(ObjectId{1}, true);
-  cache.insert(ObjectId{2});  // 1 -> disk tier
+  cache.insert(ObjectId{1}, true, /*version=*/6);
+  cache.insert(ObjectId{2}, true, /*version=*/2);  // 1 -> disk tier
   cache.mark_clean(ObjectId{1});
   EXPECT_EQ(cache.tier_of(ObjectId{1}), CacheTier::kDisk);
   EXPECT_FALSE(cache.is_dirty(ObjectId{1}));
+  EXPECT_EQ(cache.version_of(ObjectId{1}), 6u);
+  cache.mark_clean(ObjectId{2});
+  EXPECT_EQ(cache.tier_of(ObjectId{2}), CacheTier::kMemory);
+  EXPECT_EQ(cache.version_of(ObjectId{2}), 2u);
 }
 
 TEST(ClientCache, ReinsertRefreshesWithoutDuplicating) {
@@ -189,7 +210,8 @@ TEST(ClientCache, PaperCapacities) {
   ClientCacheConfig c;
   int evictions = 0;
   ClientCache cache(sim, c);
-  cache.set_eviction_hook([&](ObjectId, bool) { ++evictions; });
+  cache.set_eviction_hook(
+      [&](ObjectId, bool, std::uint64_t) { ++evictions; });
   for (ObjectId i{0}; i < ObjectId{1000}; ++i) cache.insert(i);
   EXPECT_EQ(evictions, 0);
   EXPECT_EQ(cache.size(), 1000u);

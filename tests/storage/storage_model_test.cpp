@@ -131,8 +131,12 @@ TEST_P(CacheModel, TwoTierInvariantsUnderRandomTraffic) {
   ClientCache cache(sim, cfg);
 
   std::map<ObjectId, bool> evicted_log;  // id -> dirty at eviction
-  cache.set_eviction_hook(
-      [&](ObjectId id, bool dirty) { evicted_log[id] = dirty; });
+  std::map<ObjectId, std::uint64_t> version;  // reference: resident copies
+  cache.set_eviction_hook([&](ObjectId id, bool dirty, std::uint64_t v) {
+    evicted_log[id] = dirty;
+    EXPECT_EQ(v, version[id]) << "evicted copy lost its version";
+    version.erase(id);
+  });
 
   std::size_t inserted = 0;
   for (int step = 0; step < 2000; ++step) {
@@ -140,14 +144,17 @@ TEST_P(CacheModel, TwoTierInvariantsUnderRandomTraffic) {
     const double dice = rng.uniform01();
     if (dice < 0.5) {
       if (!cache.access(id, rng.bernoulli(0.3), [] {})) {
-        cache.insert(id, false);
+        version[id] = static_cast<std::uint64_t>(step);
+        cache.insert(id, false, version[id]);
         ++inserted;
       }
     } else if (dice < 0.7) {
-      cache.insert(id, rng.bernoulli(0.3));
+      version[id] = static_cast<std::uint64_t>(step);
+      cache.insert(id, rng.bernoulli(0.3), version[id]);
       ++inserted;
     } else if (dice < 0.9) {
       cache.drop(id);
+      version.erase(id);
     } else {
       cache.mark_clean(id);
     }
@@ -160,6 +167,10 @@ TEST_P(CacheModel, TwoTierInvariantsUnderRandomTraffic) {
     if (tier == CacheTier::kMemory) {
       ASSERT_TRUE(cache.contains(id));
     }
+    // Every copy keeps the version it was installed with; absent is 0.
+    const auto it = version.find(id);
+    ASSERT_EQ(cache.version_of(id), it == version.end() ? 0 : it->second)
+        << "step " << step;
   }
   EXPECT_GT(inserted, 0u);
   // Everything that left completely went through the hook or drop().
