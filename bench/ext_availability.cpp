@@ -11,8 +11,8 @@
 ///               decomposition while the server is away.
 ///  * OCC      — reads stall (fetch deferral) and validations park.
 ///
-/// Each point then re-runs with the warm standby armed: the mirrored lock
-/// table is promoted ~50 ms after the crash instead of waiting out
+/// Each point then re-runs with the warm standby armed: the lock table as
+/// it stood at the crash is promoted ~50 ms later instead of waiting out
 /// MTTR + grace, isolating what the outage *length* (vs the crash itself)
 /// costs — and zeroing the mid-commit version losses the cold rebuild
 /// concedes.

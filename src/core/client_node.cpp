@@ -12,6 +12,14 @@ namespace rtdb::core {
 
 using lock::LockMode;
 
+namespace {
+
+/// A transaction may be shipped at most this many times (loop guard; the
+/// paper ships once, from the originating client).
+constexpr std::uint32_t kMaxShips = 1;
+
+}  // namespace
+
 ClientNode::ClientNode(ClientServerSystem& sys, ClientId id, std::size_t index)
     : sys_(sys),
       id_(id),
@@ -468,7 +476,7 @@ void ClientNode::begin(txn::Transaction t, SiteId origin, bool remote,
   // load of Table 1 (sub-tasks multiply queue entries), so decomposition
   // here is the overload-rescue path — see DESIGN.md §6.
   const bool overloaded = !remote && !is_subtask && ls.enable_h1 &&
-                          ships < ls.max_ships && !h1_admits(ref.t);
+                          ships < kMaxShips && !h1_admits(ref.t);
   if (overloaded) {
     ++sys_.live_metrics().h1_rejections;
     const bool srv_down =
@@ -596,7 +604,7 @@ void ClientNode::decide_placement(Live& live, const LocationReply& reply) {
   }
 
   bool ship = false;
-  if (best && live.ships < sys_.ls().max_ships) {
+  if (best && live.ships < kMaxShips) {
     if (conflict_phase) {
       // H2: ship only into a site where the transaction would wait on *no*
       // conflicting lock at all ("immediate access to the required data").
@@ -728,7 +736,7 @@ void ClientNode::start_decomposition(Live& live, const LocationReply& reply) {
   if (subtasks.size() < 2) {
     // Nothing to split: continue with the ordinary pipeline (H1 next).
     const LsOptions& ls = sys_.ls();
-    if (ls.enable_h1 && live.ships < ls.max_ships && !h1_admits(live.t)) {
+    if (ls.enable_h1 && live.ships < kMaxShips && !h1_admits(live.t)) {
       ++sys_.live_metrics().h1_rejections;
       query_locations(live, QueryPurpose::kPlacement);
     } else {
@@ -774,7 +782,7 @@ void ClientNode::start_decomposition(Live& live, const LocationReply& reply) {
     work.decomposable = false;
 
     if (st.site == site_) {
-      begin(std::move(work), site_, /*remote=*/false, sys_.ls().max_ships,
+      begin(std::move(work), site_, /*remote=*/false, kMaxShips,
             /*is_subtask=*/true, parent_id, st.index);
     } else {
       ShippedSubtask msg;
@@ -796,7 +804,7 @@ void ClientNode::on_shipped_subtask(ShippedSubtask shipped) {
               [this, shipped = std::move(shipped)] {
                 if (crashed_) return;
                 begin(shipped.work, site_of(shipped.origin), /*remote=*/true,
-                      sys_.ls().max_ships, /*is_subtask=*/true,
+                      kMaxShips, /*is_subtask=*/true,
                       shipped.parent, shipped.index);
               });
 }
@@ -985,7 +993,7 @@ void ClientNode::evaluate_objects(TxnId id) {
         2 * (live->needs.size() - data_absent) >= live->needs.size();
     bool want_locations = ls.enable_h2 && !live->remote &&
                           !live->is_subtask &&
-                          live->ships < ls.max_ships && !mostly_local;
+                          live->ships < kMaxShips && !mostly_local;
     if (want_locations && srv_down) {
       // The H2 location service is down with the server: execute where we
       // stand instead of waiting on a ship-or-stay answer that cannot come.

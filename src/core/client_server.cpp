@@ -157,6 +157,9 @@ void ClientServerSystem::finalize(RunMetrics& m) {
   }
   m.server_cpu_utilization = server_->cpu_utilization();
   m.server_disk_utilization = server_->disk_utilization();
+  if (faults_active()) {
+    injector()->stats().standby_mutations = server_->standby_mutations();
+  }
 }
 
 }  // namespace rtdb::core

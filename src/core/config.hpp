@@ -52,26 +52,11 @@ struct LsOptions {
   /// Length of the lock-grouping collection window.
   sim::Duration collection_window = sim::seconds(0.5);
 
-  /// Close a collection window as soon as all recalls are answered *and*
-  /// at most one serviceable request waits (no group can form, so holding
-  /// the grant only inflates response time). With two or more waiters the
-  /// window runs its full length to let the group grow.
-  bool early_window_close = true;
-
   /// Cap on the exclusive run of one forward list. Writers hold the object
   /// for whole transaction executions, so an uncapped chain makes any
   /// request arriving mid-circulation wait for every remaining hop —
   /// a short cap keeps the grouping win while bounding that inversion.
   std::size_t max_exclusive_hops = 2;
-
-  /// Cap on the shared run of one forward list. Every fan-out member
-  /// becomes a registered SL holder, i.e. one more callback the next
-  /// writer must wait out; a cap keeps writer recall sets bounded.
-  std::size_t max_shared_fanout = 4;
-
-  /// A transaction may be shipped at most this many times (loop guard;
-  /// the paper ships once, from the originating client).
-  std::uint32_t max_ships = 1;
 
   /// Serve the shared run of a forward list as chained receipt-time copy
   /// fan-out (paper §3.4: "appropriate information can also be placed in
@@ -95,10 +80,6 @@ struct LsOptions {
 struct OccOptions {
   /// Pause before re-executing an invalidated transaction.
   sim::Duration restart_backoff = sim::msec(10);
-
-  /// Reject replies carry fresh copies of the stale objects, so a restart
-  /// does not pay another fetch round trip for them.
-  bool piggyback_fresh_copies = true;
 
   /// Give up after this many invalidations (the deadline usually gives out
   /// first; this is a livelock backstop).

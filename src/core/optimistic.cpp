@@ -348,10 +348,11 @@ void OptimisticSystem::server_validate(
     ++rejections_;
   }
 
-  // Verdict (+ fresh copies of whatever was stale, if configured).
+  // Verdict, plus fresh copies of whatever was stale so a restart does not
+  // pay another fetch round trip for them.
   std::vector<std::pair<ObjectId, std::uint64_t>> fresh;
   std::uint64_t bytes = net_.config().control_bytes;
-  if (!accepted && occ_.piggyback_fresh_copies) {
+  if (!accepted) {
     fresh = stale;
     bytes += static_cast<std::uint64_t>(fresh.size()) *
              net_.config().object_bytes;

@@ -13,28 +13,25 @@ bool ls_all_off(const LsOptions& o) {
          !o.enable_forward_lists && !o.ed_request_scheduling;
 }
 
+/// Sets or clears the five LS techniques, leaving the caller's tuning
+/// (collection window, exclusive-hop cap, shared grants) as it was.
+void set_techniques(LsOptions& o, bool on) {
+  o.enable_h1 = o.enable_h2 = o.enable_decomposition =
+      o.enable_forward_lists = o.ed_request_scheduling = on;
+}
+
 }  // namespace
 
 std::unique_ptr<System> make_system(SystemKind kind, SystemConfig config) {
   switch (kind) {
     case SystemKind::kCentralized:
       return std::make_unique<CentralizedSystem>(std::move(config));
-    case SystemKind::kClientServer: {
-      auto keep_window = config.ls.collection_window;
-      config.ls = LsOptions::none();
-      config.ls.collection_window = keep_window;
+    case SystemKind::kClientServer:
+      set_techniques(config.ls, false);
       return std::make_unique<ClientServerSystem>(std::move(config));
-    }
-    case SystemKind::kLoadSharing: {
-      if (ls_all_off(config.ls)) {
-        auto keep_window = config.ls.collection_window;
-        auto keep_ships = config.ls.max_ships;
-        config.ls = LsOptions::all();
-        config.ls.collection_window = keep_window;
-        config.ls.max_ships = keep_ships;
-      }
+    case SystemKind::kLoadSharing:
+      if (ls_all_off(config.ls)) set_techniques(config.ls, true);
       return std::make_unique<ClientServerSystem>(std::move(config));
-    }
     case SystemKind::kOptimistic:
       return std::make_unique<OptimisticSystem>(std::move(config));
   }

@@ -11,62 +11,22 @@ namespace rtdb::core {
 
 using lock::LockMode;
 
+namespace {
+
+/// Cap on the shared run of one forward list. Every fan-out member becomes
+/// a registered SL holder, i.e. one more callback the next writer must wait
+/// out; a cap keeps writer recall sets bounded.
+constexpr std::size_t kMaxSharedFanout = 4;
+
+}  // namespace
+
 ServerNode::ServerNode(ClientServerSystem& sys)
     : sys_(sys),
       pf_(sys.sim(),
           storage::PagedFileConfig{sys.cfg().cs_server_buffer_capacity,
                                    sys.cfg().server_memory_access,
                                    sys.cfg().server_disk}),
-      cpu_(sys.sim()) {
-  if (sys_.faults_active() && sys_.injector()->plan().warm_standby) {
-    standby_ = std::make_unique<lock::StandbyReplica>();
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Mirrored lock-table mutators (warm standby stream)
-// ---------------------------------------------------------------------------
-
-void ServerNode::add_holder_mirrored(ObjectId obj, ClientId client,
-                                     lock::LockMode mode) {
-  glt_.add_holder(obj, client, mode);
-  if (standby_) {
-    standby_->on_add_holder(obj, client, mode);
-    ++sys_.injector()->stats().standby_mutations;
-  }
-}
-
-void ServerNode::remove_holder_mirrored(ObjectId obj, ClientId client) {
-  glt_.remove_holder(obj, client);
-  if (standby_) {
-    standby_->on_remove_holder(obj, client);
-    ++sys_.injector()->stats().standby_mutations;
-  }
-}
-
-void ServerNode::downgrade_holder_mirrored(ObjectId obj, ClientId client) {
-  glt_.downgrade_holder(obj, client);
-  if (standby_) {
-    standby_->on_downgrade(obj, client);
-    ++sys_.injector()->stats().standby_mutations;
-  }
-}
-
-void ServerNode::set_circulating_mirrored(ObjectId obj, ClientId last_client) {
-  glt_.set_circulating(obj, last_client);
-  if (standby_) {
-    standby_->on_set_circulating(obj, last_client);
-    ++sys_.injector()->stats().standby_mutations;
-  }
-}
-
-void ServerNode::clear_circulating_mirrored(ObjectId obj) {
-  glt_.clear_circulating(obj);
-  if (standby_) {
-    standby_->on_clear_circulating(obj);
-    ++sys_.injector()->stats().standby_mutations;
-  }
-}
+      cpu_(sys.sim()) {}
 
 void ServerNode::validate_invariants() const {
   glt_.validate_invariants();
@@ -212,7 +172,7 @@ void ServerNode::process_batch(const ObjectRequestBatch& batch) {
 
 void ServerNode::grant_now(TxnId txn, ClientId client, const ObjectNeed& need) {
   const LockMode held = glt_.holder_mode(need.object, client);
-  add_holder_mirrored(need.object, client, need.mode);
+  glt_.add_holder(need.object, client, need.mode);
   Grant g;
   g.txn = txn;
   g.object = need.object;
@@ -428,7 +388,7 @@ std::size_t ServerNode::groupable_prefix(ObjectId obj) {
     if (e.expires < sys_.sim().now()) continue;
     if (e.mode == LockMode::kShared) {
       if (!sys_.ls().parallel_shared_grants) break;
-      if (++sl_fans > sys_.ls().max_shared_fanout) break;
+      if (++sl_fans > kMaxSharedFanout) break;
       in_shared_tail = true;
     } else if (in_shared_tail) {
       break;  // second mode switch: next group
@@ -446,7 +406,6 @@ void ServerNode::maybe_close_window_early(ObjectId obj) {
   // groupable prefix cannot circulate anyway (e.g. a lone writer, or a
   // writer trailed by readers of the next round), holding the grant to the
   // wall-clock window end would only inflate response times.
-  if (!sys_.ls().early_window_close) return;
   if (glt_.recalls_outstanding(obj) != 0) return;
   auto w = windows_.find(obj);
   if (w == windows_.end()) return;
@@ -526,17 +485,17 @@ void ServerNode::pump_object(ObjectId obj) {
           for (const auto& e : list) {
             if (e.mode == LockMode::kExclusive &&
                 glt_.holder_mode(obj, e.client) != LockMode::kNone) {
-              remove_holder_mirrored(obj, e.client);
+              glt_.remove_holder(obj, e.client);
             }
           }
           // Shared members are holders from the moment the list ships —
           // their copies will stay cached under a SL.
           for (const auto& e : list) {
             if (e.mode == LockMode::kShared) {
-              add_holder_mirrored(obj, e.client, LockMode::kShared);
+              glt_.add_holder(obj, e.client, LockMode::kShared);
             }
           }
-          set_circulating_mirrored(obj, list.back().client);
+          glt_.set_circulating(obj, list.back().client);
           if (sys_.faults_active()) arm_circulation_watchdog(obj, list);
           if (sys_.telemetry().events_enabled()) {
             sys_.telemetry().event(obs::EventKind::kCirculate,
@@ -555,7 +514,7 @@ void ServerNode::pump_object(ObjectId obj) {
           return;
         }
         // The group collapsed to one entry (expiries): plain grant.
-        add_holder_mirrored(obj, list[0].client, list[0].mode);
+        glt_.add_holder(obj, list[0].client, list[0].mode);
         Grant g;
         g.txn = list[0].txn;
         g.object = obj;
@@ -579,7 +538,7 @@ void ServerNode::pump_object(ObjectId obj) {
       sys_.telemetry().lock_served(e->txn, obj, sys_.sim().now());
     }
     const LockMode held = glt_.holder_mode(obj, e->client);
-    add_holder_mirrored(obj, e->client, e->mode);
+    glt_.add_holder(obj, e->client, e->mode);
     Grant g;
     g.txn = e->txn;
     g.object = obj;
@@ -661,7 +620,7 @@ void ServerNode::on_object_return(ObjectReturn ret) {
       // server's committed version.
       ++sys_.injector()->stats().duplicate_returns_ignored;
       ack_return(ret);
-      if (ret.from_circulation) clear_circulating_mirrored(ret.object);
+      if (ret.from_circulation) glt_.clear_circulating(ret.object);
       glt_.clear_recall(ret.object, ret.client);
       maybe_close_window_early(ret.object);
       pump_object(ret.object);
@@ -679,7 +638,7 @@ void ServerNode::on_object_return(ObjectReturn ret) {
         // Stale clean copy from a repaired circulation: already accounted.
         ++sys_.injector()->stats().duplicate_returns_ignored;
       }
-      clear_circulating_mirrored(ret.object);
+      glt_.clear_circulating(ret.object);
       // A window may have opened for requests that arrived mid-circulation.
       maybe_close_window_early(ret.object);
       pump_object(ret.object);
@@ -687,9 +646,9 @@ void ServerNode::on_object_return(ObjectReturn ret) {
     }
     if (ret.was_held) {
       if (ret.downgraded) {
-        downgrade_holder_mirrored(ret.object, ret.client);
+        glt_.downgrade_holder(ret.object, ret.client);
       } else {
-        remove_holder_mirrored(ret.object, ret.client);
+        glt_.remove_holder(ret.object, ret.client);
       }
       if (chaos) clear_recall_tries(ret.object, ret.client);
       if (ret.dirty) {
@@ -709,7 +668,7 @@ void ServerNode::on_object_return(ObjectReturn ret) {
       // future writer — drop it. (A single "not held" is usually just the
       // small recall frame overtaking its own large data grant; keeping
       // the registration lets the next pump re-recall and resolve it.)
-      remove_holder_mirrored(ret.object, ret.client);
+      glt_.remove_holder(ret.object, ret.client);
       clear_recall_tries(ret.object, ret.client);
       ++sys_.injector()->stats().orphan_locks_reclaimed;
     }
@@ -776,7 +735,7 @@ void ServerNode::arm_circulation_watchdog(
       sys_.telemetry().event(obs::EventKind::kFaultRepair, sys_.sim().now(),
                              kServerSite, kInvalidTxn, obj);
     }
-    clear_circulating_mirrored(obj);
+    glt_.clear_circulating(obj);
     sys_.accounted_loss(obj);
     maybe_close_window_early(obj);
     pump_object(obj);
@@ -796,7 +755,7 @@ void ServerNode::reclaim_client(ClientId client) {
   std::vector<ObjectId> touched = glt_.objects_held_by(client);
   std::sort(touched.begin(), touched.end());
   for (ObjectId obj : touched) {
-    remove_holder_mirrored(obj, client);
+    glt_.remove_holder(obj, client);
     glt_.clear_recall(obj, client);
     ++stats.orphan_locks_reclaimed;
   }
@@ -838,6 +797,10 @@ void ServerNode::crash() {
   ++incarnation_;
   for (auto& [obj, id] : windows_) sys_.sim().cancel(id);
   windows_.clear();
+  // The standby applied every mutation up to the crash instant, and nothing
+  // mutates the table while the server is down: its state at promotion is
+  // exactly the table's state now.
+  if (standby_armed()) standby_ = glt_.snapshot();
   glt_.clear();
   wfg_.clear();
   queued_.clear();
@@ -848,22 +811,27 @@ void ServerNode::crash() {
   in_grace_ = false;
 }
 
+bool ServerNode::standby_armed() const {
+  return sys_.faults_active() && sys_.injector()->plan().warm_standby;
+}
+
+std::uint64_t ServerNode::standby_mutations() const {
+  return standby_armed() ? glt_.mutations() : 0;
+}
+
 void ServerNode::restart(bool failover) {
   ++epoch_;
   const fault::FaultPlan& plan = sys_.injector()->plan();
   if (plan.recovery_disabled) return;  // serve from an empty table (broken)
-  if (failover && standby_) {
-    // Promotion: the mirrored snapshot IS the lock table. Raw glt_ calls —
-    // the standby already holds this state; re-mirroring would double it.
-    for (const auto& h : standby_->snapshot_holds()) {
-      glt_.add_holder(h.object, h.client, h.mode);
-    }
-    for (const auto& c : standby_->snapshot_circulating()) {
-      glt_.set_circulating(c.object, c.last_client);
+  if (failover && standby_armed()) {
+    // Promotion: the standby's copy IS the lock table.
+    glt_.restore(standby_);
+    for (const auto& c : standby_.circulating) {
       // The chain kept moving while the primary was down; give it a fresh
       // conservative watchdog in case a hop was lost meanwhile.
       arm_circulation_watchdog(c.object, {});
     }
+    standby_ = {};
     return;
   }
   // Grace rebuild: surviving holders re-assert; new request batches park
@@ -913,7 +881,7 @@ void ServerNode::on_reassert(ReassertBatch batch) {
         const bool compatible =
             glt_.can_grant(e.object, batch.client, e.mode);
         if (in_grace_ && compatible) {
-          add_holder_mirrored(e.object, batch.client, e.mode);
+          glt_.add_holder(e.object, batch.client, e.mode);
           ++stats.reasserts_accepted;
           ack.accepted.push_back(e.object);
         } else {

@@ -1,13 +1,11 @@
 #pragma once
 
-#include <memory>
 #include <unordered_map>
 
 #include "common/dense_map.hpp"
 #include "core/protocol.hpp"
 #include "net/message.hpp"
 #include "lock/global_lock_table.hpp"
-#include "lock/standby.hpp"
 #include "lock/wait_for_graph.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
@@ -68,13 +66,15 @@ class ServerNode {
   /// forward lists, queued-txn records, parked batches, collection windows,
   /// load table — is gone. The paged file and the version array survive
   /// (stable storage). Async continuations of the dead incarnation are
-  /// neutralized by the incarnation guard.
+  /// neutralized by the incarnation guard. With a warm standby armed, the
+  /// lock table's sorted snapshot is saved first: it is the state the
+  /// standby holds, since it applied every mutation up to this instant.
   void crash();
 
   /// Server restart: bumps the recovery epoch, then either promotes the
-  /// warm standby (`failover`, lock table rebuilt from the mirrored
-  /// snapshot, serving immediately) or opens the grace window during which
-  /// surviving holders re-assert their grants. With
+  /// warm standby (`failover`, lock table replayed from the snapshot saved
+  /// at the crash, serving immediately) or opens the grace window during
+  /// which surviving holders re-assert their grants. With
   /// FaultPlan::recovery_disabled the server serves straight from an empty
   /// table — the WILL_FAIL gate's broken build.
   void restart(bool failover);
@@ -88,10 +88,9 @@ class ServerNode {
   /// True while the post-restart grace window is open.
   [[nodiscard]] bool in_grace() const { return in_grace_; }
 
-  /// Mutations streamed to the warm standby so far (gauge).
-  [[nodiscard]] std::uint64_t standby_mutations() const {
-    return standby_ ? standby_->mutations() : 0;
-  }
+  /// Lock-table mutations the warm standby has applied so far (gauge; 0
+  /// unless the plan arms a standby).
+  [[nodiscard]] std::uint64_t standby_mutations() const;
 
   // --- load table -----------------------------------------------------------
 
@@ -124,7 +123,7 @@ class ServerNode {
   /// Warm-start bookkeeping: registers `client`'s SL on `obj` without any
   /// protocol traffic (the matching client called warm_insert).
   void warm_register(ObjectId obj, ClientId client) {
-    add_holder_mirrored(obj, client, lock::LockMode::kShared);
+    glt_.add_holder(obj, client, lock::LockMode::kShared);
   }
 
   /// Warm-start: page resident in the server buffer, no timing.
@@ -217,17 +216,6 @@ class ServerNode {
   [[nodiscard]] std::uint32_t recall_tries(ObjectId obj, ClientId client) const;
   void clear_recall_tries(ObjectId obj, ClientId client);
 
-  // --- lock-table mutators with the warm-standby mirror -------------------
-  // Every holder/circulation mutation goes through these so the standby
-  // replica (when armed) sees the identical deterministic stream. The
-  // GlobalLockTable itself stays mirror-free: its grant path is a proven
-  // allocation-free hot region.
-  void add_holder_mirrored(ObjectId obj, ClientId client, lock::LockMode mode);
-  void remove_holder_mirrored(ObjectId obj, ClientId client);
-  void downgrade_holder_mirrored(ObjectId obj, ClientId client);
-  void set_circulating_mirrored(ObjectId obj, ClientId last_client);
-  void clear_circulating_mirrored(ObjectId obj);
-
   /// Grace-window close: serve the batches parked behind the rebuild.
   void end_grace();
 
@@ -285,8 +273,12 @@ class ServerNode {
   bool in_grace_ = false;
   std::vector<ObjectRequestBatch> grace_parked_;
 
-  /// Warm standby replica (allocated only when the plan arms one).
-  std::unique_ptr<lock::StandbyReplica> standby_;
+  /// The lock table as the warm standby holds it: saved at a crash while
+  /// the plan arms a standby, replayed at promotion.
+  lock::GlobalLockTable::Snapshot standby_;
+
+  /// True when the fault plan arms a warm standby.
+  [[nodiscard]] bool standby_armed() const;
 
   [[nodiscard]] std::uint64_t version_of(ObjectId obj) const {
     return versions_.value_or_default(obj);

@@ -91,9 +91,10 @@ struct FaultPlan {
   /// Grace window after a cold restart during which surviving lock holders
   /// re-assert their grants before the server serves new work.
   sim::Duration server_recovery_grace = sim::msec(600);
-  /// Arm a warm standby replica: lock-table mutations stream to a backup
-  /// which is promoted standby_failover after a crash, skipping the grace
-  /// rebuild entirely (the window's effective end moves up).
+  /// Arm a warm standby: a backup that applies every lock-table mutation
+  /// as the primary makes it, promoted standby_failover after a crash with
+  /// the table as it stood at the crash instant, skipping the grace rebuild
+  /// entirely (the window's effective end moves up).
   bool warm_standby = false;
   sim::Duration standby_failover = sim::msec(50);
   /// Bound of the seeded jitter added to client retries deferred across a
@@ -200,7 +201,9 @@ struct FaultStats {
   std::uint64_t outage_deferrals = 0;        ///< retries parked past restart
   std::uint64_t deadline_early_aborts = 0;   ///< slack < projected recovery
   std::uint64_t grace_parked = 0;            ///< batches parked during grace
-  std::uint64_t standby_mutations = 0;       ///< ops streamed to the standby
+  /// Lock-table mutator calls the armed standby applied (the server's
+  /// GlobalLockTable::mutations(), copied in at the end of the run).
+  std::uint64_t standby_mutations = 0;
 
   /// Total perturbations injected into the run.
   [[nodiscard]] std::uint64_t injected() const {

@@ -65,7 +65,6 @@ std::vector<std::unique_ptr<Rule>> make_default_rules() {
   rules.push_back(make_float_accum_rule());
   rules.push_back(make_layering_rule());
   rules.push_back(make_mutable_static_rule());
-  rules.push_back(make_shared_state_rule());
   rules.push_back(make_net_seam_rule());
   rules.push_back(make_hot_path_alloc_rule());
   rules.push_back(make_protocol_totality_rule());

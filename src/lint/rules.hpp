@@ -27,7 +27,6 @@ std::unique_ptr<Rule> make_layering_rule();
 
 // rules_concurrency.cpp — concurrency-readiness (scope-aware, scopes.hpp).
 std::unique_ptr<Rule> make_mutable_static_rule();
-std::unique_ptr<Rule> make_shared_state_rule();
 
 // rules_seam.cpp — protocol traffic goes through Network::send/FaultHook.
 std::unique_ptr<Rule> make_net_seam_rule();

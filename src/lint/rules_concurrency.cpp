@@ -3,19 +3,12 @@
 #include "lint/scopes.hpp"
 
 /// \file rules_concurrency.cpp
-/// Concurrency-readiness rules. The simulator is single-threaded today; the
-/// sharded multi-server roadmap ends that. Two rules guard the transition:
-///
-///  * mutable-static — scope-aware (via the scopes.hpp extractor): non-const
-///    namespace-scope state (static or not), non-const static data members,
-///    and function-local mutable statics. Each one must become const, move
-///    into its owning object, or carry a justification.
-///  * shared-state — `mutable` members of classes in the lock/net/core
-///    subsystems must declare their discipline with a `shared(<discipline>)`
-///    annotation after the `rtdb-lint` marker (grammar in source_file.hpp);
-///    the sharding PR will check the declared disciplines against real
-///    thread boundaries. Malformed annotations are findings wherever they
-///    appear.
+/// Concurrency-readiness rule. The simulator is single-threaded today; a
+/// sharded multi-server design would end that. mutable-static is
+/// scope-aware (via the scopes.hpp extractor): non-const namespace-scope
+/// state (static or not), non-const static data members, and function-local
+/// mutable statics. Each one must become const, move into its owning
+/// object, or carry a justification.
 
 namespace rtdb::lint {
 namespace {
@@ -96,56 +89,10 @@ class MutableStaticRule final : public Rule {
   }
 };
 
-class SharedStateRule final : public Rule {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "shared-state";
-  }
-  [[nodiscard]] Severity severity() const override { return Severity::kError; }
-  [[nodiscard]] std::string_view summary() const override {
-    return "mutable member in a lock/net/core class without a "
-           "rtdb-lint: shared(<discipline>) annotation";
-  }
-
-  void check(const SourceFile& f, const Corpus& /*corpus*/,
-             std::vector<Finding>& out) const override {
-    if (!in_lint_scope(f)) return;
-
-    // Grammar hygiene applies everywhere an annotation appears.
-    for (const SharedAnnotation& a : f.shared_annotations()) {
-      if (!a.malformed) continue;
-      add(f, a.first_line,
-          "malformed shared(...) annotation — syntax is `// rtdb-lint: "
-          "shared(<discipline>) <note>` with discipline one of "
-          "single-thread, guarded-by:<name>, atomic, read-only, "
-          "partitioned, and the note is mandatory",
-          out);
-    }
-
-    const std::string& sub = f.subsystem();
-    if (sub != "lock" && sub != "net" && sub != "core") return;
-    const ScopeInfo scopes = extract_scopes(f);
-    for (const MemberDecl& m : scopes.members) {
-      if (!m.is_mutable || f.shared_annotated(m.line)) continue;
-      add(f, m.line,
-          "mutable member `" + m.class_name + "::" + m.name +
-              "` in the " + sub +
-              " subsystem without a shared(<discipline>) annotation — "
-              "declare how it stays safe before the sharding refactor "
-              "(see docs/static_analysis.md)",
-          out);
-    }
-  }
-};
-
 }  // namespace
 
 std::unique_ptr<Rule> make_mutable_static_rule() {
   return std::make_unique<MutableStaticRule>();
-}
-
-std::unique_ptr<Rule> make_shared_state_rule() {
-  return std::make_unique<SharedStateRule>();
 }
 
 }  // namespace rtdb::lint

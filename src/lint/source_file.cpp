@@ -38,30 +38,6 @@ bool parse_include(std::string_view directive, Include& out) {
 
 constexpr std::string_view kMarker = "rtdb-lint:";
 
-/// The shared(...) discipline heads the concurrency rules accept (the
-/// guarded-by form carries a `:name` tail).
-bool known_discipline(std::string_view d) {
-  return d == "single-thread" || d == "atomic" || d == "read-only" ||
-         d == "partitioned" || d.substr(0, 11) == "guarded-by:";
-}
-
-/// Parses the marker + "shared(<discipline>) note" from a comment body.
-/// Call only after the marker was found and the verb is "shared".
-void parse_shared(std::string_view s, const Comment& c,
-                  SharedAnnotation& out) {
-  out.first_line = c.line;
-  out.last_line = c.end_line;  // own-line comments get extended by caller
-  out.malformed = true;        // until fully parsed
-  s = trim(s.substr(6));       // past "shared"
-  if (s.empty() || s.front() != '(') return;
-  const auto close = s.find(')');
-  if (close == std::string_view::npos) return;
-  out.discipline = std::string(trim(s.substr(1, close - 1)));
-  out.note = std::string(trim(s.substr(close + 1)));
-  out.malformed = out.discipline.empty() || out.note.empty() ||
-                  !known_discipline(out.discipline);
-}
-
 /// Parses the marker + "allow(rule-a, rule-b) why" from a comment body.
 /// Returns false when the comment does not carry the marker at all.
 bool parse_suppression(const Comment& c, Suppression& out) {
@@ -131,20 +107,6 @@ SourceFile SourceFile::from_string(std::string rel_path,
     return next_code;
   };
   for (const Comment& c : f.comments_) {
-    // The verb after the marker decides the annotation type: `shared(...)`
-    // declares a concurrency discipline, everything else parses as an
-    // allow-suppression (and is malformed when it isn't one).
-    const std::string_view body = trim(c.text);
-    const auto at = body.find(kMarker);
-    if (at == std::string_view::npos) continue;
-    const std::string_view after = trim(body.substr(at + kMarker.size()));
-    if (after.substr(0, 6) == "shared") {
-      SharedAnnotation a;
-      parse_shared(after, c, a);
-      if (c.own_line) a.last_line = own_line_end(c);
-      f.shared_annotations_.push_back(std::move(a));
-      continue;
-    }
     Suppression s;
     if (!parse_suppression(c, s)) continue;
     if (c.own_line) s.last_line = own_line_end(c);
@@ -158,15 +120,6 @@ bool SourceFile::suppressed(std::string_view rule, int line) const {
     if (s.malformed || line < s.first_line || line > s.last_line) continue;
     for (const std::string& r : s.rules) {
       if (r == rule) return true;
-    }
-  }
-  return false;
-}
-
-bool SourceFile::shared_annotated(int line) const {
-  for (const SharedAnnotation& a : shared_annotations_) {
-    if (!a.malformed && line >= a.first_line && line <= a.last_line) {
-      return true;
     }
   }
   return false;

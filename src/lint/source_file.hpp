@@ -35,29 +35,6 @@ struct Suppression {
   bool malformed;  ///< unparsable allow-list or empty justification
 };
 
-/// One `shared(<discipline>) <note>` annotation (written after the
-/// `rtdb-lint` marker, like a suppression): a declaration of *how* a piece
-/// of mutable shared state is kept safe, consumed by the
-/// concurrency-readiness rules (and later checked against real thread
-/// boundaries by the sharding work). Legal disciplines:
-///
-///   single-thread        touched only from the simulator thread
-///   guarded-by:<name>    held under the named mutex/lock
-///   atomic               std::atomic or equivalent
-///   read-only            written once before sharing, never after
-///   partitioned          per-shard instance, never cross-shard
-///
-/// The note is mandatory, like a suppression justification. Coverage rules
-/// match Suppression: the comment's lines, plus the next code line for
-/// own-line comments.
-struct SharedAnnotation {
-  std::string discipline;  ///< as written ("guarded-by:mu_")
-  std::string note;
-  int first_line;
-  int last_line;
-  bool malformed;  ///< missing discipline/note or unknown discipline head
-};
-
 class SourceFile {
  public:
   /// Lexes `content` as the file at repo-relative `rel_path` (forward
@@ -80,16 +57,9 @@ class SourceFile {
   [[nodiscard]] const std::vector<Suppression>& suppressions() const {
     return suppressions_;
   }
-  [[nodiscard]] const std::vector<SharedAnnotation>& shared_annotations()
-      const {
-    return shared_annotations_;
-  }
 
   /// True when `rule` is suppressed at `line` by a well-formed suppression.
   [[nodiscard]] bool suppressed(std::string_view rule, int line) const;
-
-  /// True when `line` is covered by a well-formed shared(...) annotation.
-  [[nodiscard]] bool shared_annotated(int line) const;
 
   /// Path helpers used by rules to scope themselves.
   [[nodiscard]] bool under(std::string_view dir) const;  // "src", "src/net"
@@ -102,7 +72,6 @@ class SourceFile {
   std::vector<Comment> comments_;
   std::vector<Include> includes_;
   std::vector<Suppression> suppressions_;
-  std::vector<SharedAnnotation> shared_annotations_;
 };
 
 }  // namespace rtdb::lint

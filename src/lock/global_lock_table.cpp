@@ -176,6 +176,7 @@ bool GlobalLockTable::can_grant(ObjectId obj, ClientId client,
 
 void GlobalLockTable::add_holder(ObjectId obj, ClientId client,
                                  LockMode mode) {
+  ++mutations_;
   RTDB_PERF_COUNT(kGltGrants);
   State& st = state(obj);
   for (auto& h : st.holders) {
@@ -189,6 +190,7 @@ void GlobalLockTable::add_holder(ObjectId obj, ClientId client,
 }
 
 LockMode GlobalLockTable::remove_holder(ObjectId obj, ClientId client) {
+  ++mutations_;
   State* st = const_cast<State*>(state_if_any(obj));
   if (!st) return LockMode::kNone;
   auto& hs = st->holders;
@@ -206,6 +208,7 @@ LockMode GlobalLockTable::remove_holder(ObjectId obj, ClientId client) {
 }
 
 bool GlobalLockTable::downgrade_holder(ObjectId obj, ClientId client) {
+  ++mutations_;
   State* st = const_cast<State*>(state_if_any(obj));
   if (!st) return false;
   for (auto& h : st->holders) {
@@ -275,12 +278,14 @@ std::size_t GlobalLockTable::recalls_outstanding(ObjectId obj) const {
 }
 
 void GlobalLockTable::set_circulating(ObjectId obj, ClientId last_client) {
+  ++mutations_;
   State& st = state(obj);
   st.circulating = true;
   st.circulating_last = last_client;
 }
 
 void GlobalLockTable::clear_circulating(ObjectId obj) {
+  ++mutations_;
   State* st = const_cast<State*>(state_if_any(obj));
   if (!st) return;
   st->circulating = false;
@@ -336,6 +341,38 @@ void GlobalLockTable::compact() {
 void GlobalLockTable::clear() {
   for (std::size_t i = tracked_.size(); i-- > 0;) untrack(tracked_[i]);
   for (auto& objs : by_client_) objs.clear();
+}
+
+GlobalLockTable::Snapshot GlobalLockTable::snapshot() const {
+  Snapshot snap;
+  for (const std::uint32_t obj : tracked_) {
+    const State& st = slots_[obj];
+    for (const GlobalHold& h : st.holders) {
+      snap.holds.push_back({ObjectId{obj}, h.client, h.mode});
+    }
+    if (st.circulating) {
+      snap.circulating.push_back({ObjectId{obj}, st.circulating_last});
+    }
+  }
+  std::sort(snap.holds.begin(), snap.holds.end(),
+            [](const Hold& a, const Hold& b) {
+              if (a.object != b.object) return a.object < b.object;
+              return a.client < b.client;
+            });
+  std::sort(snap.circulating.begin(), snap.circulating.end(),
+            [](const Circulation& a, const Circulation& b) {
+              return a.object < b.object;
+            });
+  return snap;
+}
+
+void GlobalLockTable::restore(const Snapshot& snap) {
+  const std::uint64_t before = mutations_;
+  for (const Hold& h : snap.holds) add_holder(h.object, h.client, h.mode);
+  for (const Circulation& c : snap.circulating) {
+    set_circulating(c.object, c.last_client);
+  }
+  mutations_ = before;
 }
 
 std::size_t GlobalLockTable::total_queued_entries() const {

@@ -152,9 +152,44 @@ class GlobalLockTable {
 
   /// Wipes the whole table — the server crashed and its volatile lock state
   /// is gone. Capacity is kept (slots are recycled, not freed) and the
-  /// cumulative expired-drop counter survives, so post-restart telemetry
-  /// stays monotone.
+  /// cumulative expired-drop and mutation counters survive, so post-restart
+  /// telemetry stays monotone.
   void clear();
+
+  // --- warm-standby snapshot ------------------------------------------------
+
+  /// One client hold, as saved at a crash and replayed at promotion.
+  struct Hold {
+    ObjectId object{};
+    ClientId client = kInvalidClient;
+    LockMode mode = LockMode::kNone;
+  };
+
+  /// One circulating forward-list tail.
+  struct Circulation {
+    ObjectId object{};
+    ClientId last_client = kInvalidClient;
+  };
+
+  /// The holder and circulation state a promoted standby takes over.
+  struct Snapshot {
+    std::vector<Hold> holds;               ///< (object, client) order
+    std::vector<Circulation> circulating;  ///< object order
+  };
+
+  /// Sorted copy of every hold and circulation tail, so a replay does not
+  /// depend on grant/upgrade interleaving or on slot recycling.
+  [[nodiscard]] Snapshot snapshot() const;
+
+  /// Replays `snap` into the table: holders, then circulation. Not counted
+  /// in mutations() — the replay re-installs state the table already had.
+  void restore(const Snapshot& snap);
+
+  /// Calls to the five holder/circulation mutators (add_holder,
+  /// remove_holder, downgrade_holder, set_circulating, clear_circulating)
+  /// since construction, no-op calls included — the length of the stream a
+  /// replicated lock server would ship to its standby.
+  [[nodiscard]] std::uint64_t mutations() const { return mutations_; }
 
   [[nodiscard]] std::size_t tracked_objects() const {
     return tracked_.size();
@@ -212,6 +247,8 @@ class GlobalLockTable {
   /// Expired-drop counts of queues whose object state was already retired
   /// (dropped when quiescent) — keeps total_expired_dropped() cumulative.
   std::uint64_t expired_dropped_retired_ = 0;
+
+  std::uint64_t mutations_ = 0;  ///< see mutations()
 };
 
 }  // namespace rtdb::lock

@@ -156,15 +156,11 @@ class WaitForGraph {
   std::size_t active_ = 0;
   std::size_t edges_ = 0;  ///< distinct (waiter, holder) pairs
 
-  // Cycle-check scratch, reused across calls (logically const queries).
-  // rtdb-lint: shared(single-thread) search scratch; a sharded table must give
-  // each shard its own graph instance or make the scratch thread_local
+  // Cycle-check scratch, reused across calls (logically const queries):
+  // the search stack, epoch-stamped visited/target marks, and the
+  // generation counter for those marks.
   mutable std::vector<std::uint32_t> stack_;
-  // rtdb-lint: shared(single-thread) epoch-stamped visited/target marks,
-  // same per-shard/thread_local plan as stack_
   mutable std::vector<std::uint64_t> seen_epoch_;
-  // rtdb-lint: shared(single-thread) generation counter for seen_epoch_;
-  // goes per-shard together with the scratch vectors
   mutable std::uint64_t epoch_ = 0;
 };
 

@@ -57,6 +57,22 @@ TEST(Runner, LoadSharingKeepsCustomAblation) {
   EXPECT_FALSE(sys->ls().enable_decomposition);
 }
 
+TEST(Runner, TechniqueSwitchKeepsCallerTuning) {
+  auto cfg = tiny_cfg();
+  cfg.ls.parallel_shared_grants = false;
+  cfg.ls.max_exclusive_hops = 1;
+  for (const SystemKind kind :
+       {SystemKind::kLoadSharing, SystemKind::kClientServer}) {
+    auto made = make_system(kind, cfg);
+    auto* sys = dynamic_cast<ClientServerSystem*>(made.get());
+    ASSERT_NE(sys, nullptr);
+    EXPECT_EQ(sys->ls().enable_forward_lists,
+              kind == SystemKind::kLoadSharing);
+    EXPECT_FALSE(sys->ls().parallel_shared_grants) << to_string(kind);
+    EXPECT_EQ(sys->ls().max_exclusive_hops, 1u) << to_string(kind);
+  }
+}
+
 TEST(Runner, RunOnceProducesAccountedMetrics) {
   const auto m = run_once(SystemKind::kClientServer, tiny_cfg());
   EXPECT_GT(m.generated, 0u);

@@ -7,6 +7,8 @@
 /// simulator), calling the crash/restart fan-out in the same client-id
 /// order ClientServerSystem uses.
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/client_server.hpp"
@@ -183,6 +185,68 @@ TEST(ServerRecovery, WarmStandbyPromotionSkipsTheGraceRebuild) {
   EXPECT_EQ(sys.network().stats().messages(net::MessageKind::kLockReassert),
             reasserts_before);
   EXPECT_GE(sys.injector()->stats().server_failovers, 0u);
+}
+
+/// Under the server-standby schedule, every promotion hands over exactly
+/// the lock table the primary held when it crashed.
+TEST(ServerRecovery, StandbyPromotionRestoresThePreCrashTable) {
+  SystemConfig cfg = SystemConfig::paper_defaults(20.0);
+  cfg.num_clients = 16;
+  cfg.warmup = sim::seconds(100);
+  cfg.duration = sim::seconds(500);
+  cfg.drain = sim::seconds(200);
+  cfg.seed = 11;
+  cfg.fault = fault::make_chaos_plan("server-standby", cfg.num_clients,
+                                     sim::SimTime{} + cfg.warmup,
+                                     cfg.horizon());
+  ASSERT_EQ(cfg.validate(), "");
+  auto made = make_system(SystemKind::kLoadSharing, cfg);
+  auto& sys = dynamic_cast<ClientServerSystem&>(*made);
+
+  // Per object: its holds sorted by client, and whether it circulates.
+  using Row = std::pair<std::vector<std::pair<ClientId, LockMode>>, bool>;
+  const auto capture = [&sys, objects = cfg.workload.db_size] {
+    const lock::GlobalLockTable& glt = sys.server().lock_table();
+    std::vector<Row> rows(objects);
+    for (std::size_t i = 0; i < objects; ++i) {
+      const ObjectId obj{static_cast<ObjectId::Rep>(i)};
+      for (const auto& h : glt.holders(obj)) {
+        rows[i].first.emplace_back(h.client, h.mode);
+      }
+      std::sort(rows[i].first.begin(), rows[i].first.end());
+      rows[i].second = glt.is_circulating(obj);
+    }
+    return rows;
+  };
+  std::vector<Row> before;
+  std::size_t holds_before = 0;
+  std::size_t promotions = 0;
+  auto& sim = sys.simulator();
+  for (const auto& w : cfg.fault.server_crashes) {
+    // Scheduled before run() arms the outages, so FIFO tie-breaking fires
+    // this probe just ahead of the crash at the same instant.
+    sim.at(w.start, [&] {
+      before = capture();
+      for (const Row& r : before) holds_before += r.first.size();
+    });
+    // Re-scheduled from inside the instant, the check runs just after the
+    // promotion.
+    sim.at(cfg.fault.effective_end(w), [&] {
+      sim.at(sim.now(), [&] {
+        const std::vector<Row> after = capture();
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < after.size(); ++i) {
+          if (after[i] != before[i]) ++mismatches;
+        }
+        EXPECT_EQ(mismatches, 0u) << "promotion " << promotions;
+        ++promotions;
+      });
+    });
+  }
+  sys.run();
+  EXPECT_EQ(promotions, cfg.fault.server_crashes.size());
+  EXPECT_EQ(sys.injector()->stats().server_failovers, promotions);
+  EXPECT_GT(holds_before, 0u);
 }
 
 /// Full-run gate: scheduled outages hit a loaded cluster and every

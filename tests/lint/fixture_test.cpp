@@ -62,7 +62,7 @@ TEST(LintFixtures, GoldensMatch) {
     EXPECT_EQ(slurp(golden), render(report))
         << "fixture: " << entry.path().filename();
   }
-  EXPECT_GE(cases, 14);
+  EXPECT_GE(cases, 13);
 }
 
 TEST(LintFixtures, EveryRuleHasAFixturePositive) {

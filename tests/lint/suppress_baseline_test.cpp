@@ -147,33 +147,6 @@ TEST(Baseline, NoStaleReportWhenBudgetsAreExact) {
   EXPECT_TRUE(apply_baseline(bl, findings, baselined).empty());
 }
 
-TEST(SharedAnnotation, ParsesDisciplineAndCoversTheNextCodeLine) {
-  const auto f = SourceFile::from_string(
-      "src/lock/x.hpp",
-      "// rtdb-lint: shared(guarded-by:mu_) last-lookup cache\n"
-      "mutable int cached_ = 0;\n"
-      "mutable int misses_ = 0;\n");
-  ASSERT_EQ(f.shared_annotations().size(), 1u);
-  EXPECT_FALSE(f.shared_annotations()[0].malformed);
-  EXPECT_EQ(f.shared_annotations()[0].discipline, "guarded-by:mu_");
-  EXPECT_TRUE(f.shared_annotated(2));
-  EXPECT_FALSE(f.shared_annotated(3));
-}
-
-TEST(SharedAnnotation, UnknownDisciplineOrMissingNoteIsMalformed) {
-  const auto f = SourceFile::from_string(
-      "src/lock/x.hpp",
-      "// rtdb-lint: shared(sometimes) vague\n"
-      "mutable int a_ = 0;\n"
-      "// rtdb-lint: shared(atomic)\n"
-      "mutable int b_ = 0;\n");
-  ASSERT_EQ(f.shared_annotations().size(), 2u);
-  EXPECT_TRUE(f.shared_annotations()[0].malformed);
-  EXPECT_TRUE(f.shared_annotations()[1].malformed);
-  EXPECT_FALSE(f.shared_annotated(2));
-  EXPECT_FALSE(f.shared_annotated(4));
-}
-
 TEST(Baseline, FormatRoundTrips) {
   std::vector<Finding> findings{
       {"src/core/a.cpp", 1, "mutable-static", Severity::kError, "m"},

@@ -199,5 +199,90 @@ TEST(GlobalLocks, ExpiredDroppedSurvivesStateRetirement) {
   EXPECT_EQ(glt.total_expired_dropped(), 2u);
 }
 
+TEST(GlobalLocks, SnapshotSortsHoldsRegardlessOfGrantOrder) {
+  GlobalLockTable glt;
+  glt.add_holder(ObjectId{5}, ClientId{2}, LockMode::kShared);
+  glt.add_holder(ObjectId{3}, ClientId{1}, LockMode::kShared);
+  glt.add_holder(ObjectId{5}, ClientId{1}, LockMode::kShared);
+  glt.add_holder(ObjectId{5}, ClientId{2}, LockMode::kExclusive);  // upgrade
+  glt.remove_holder(ObjectId{5}, ClientId{1});
+  glt.add_holder(ObjectId{5}, ClientId{1}, LockMode::kShared);
+
+  const auto holds = glt.snapshot().holds;
+  ASSERT_EQ(holds.size(), 3u);
+  EXPECT_EQ(holds[0].object, ObjectId{3});
+  EXPECT_EQ(holds[0].client, ClientId{1});
+  EXPECT_EQ(holds[1].object, ObjectId{5});
+  EXPECT_EQ(holds[1].client, ClientId{1});
+  EXPECT_EQ(holds[1].mode, LockMode::kShared);
+  EXPECT_EQ(holds[2].object, ObjectId{5});
+  EXPECT_EQ(holds[2].client, ClientId{2});
+  EXPECT_EQ(holds[2].mode, LockMode::kExclusive);
+}
+
+TEST(GlobalLocks, SnapshotReAddUpgradesInsteadOfDuplicating) {
+  GlobalLockTable glt;
+  glt.add_holder(ObjectId{7}, ClientId{1}, LockMode::kShared);
+  glt.add_holder(ObjectId{7}, ClientId{1}, LockMode::kExclusive);
+  const auto holds = glt.snapshot().holds;
+  ASSERT_EQ(holds.size(), 1u);
+  EXPECT_EQ(holds[0].mode, LockMode::kExclusive);
+}
+
+TEST(GlobalLocks, SnapshotListsCirculationInObjectOrder) {
+  GlobalLockTable glt;
+  glt.set_circulating(ObjectId{9}, ClientId{4});
+  glt.set_circulating(ObjectId{2}, ClientId{3});
+  auto circ = glt.snapshot().circulating;
+  ASSERT_EQ(circ.size(), 2u);
+  EXPECT_EQ(circ[0].object, ObjectId{2});
+  EXPECT_EQ(circ[0].last_client, ClientId{3});
+  EXPECT_EQ(circ[1].object, ObjectId{9});
+  EXPECT_EQ(circ[1].last_client, ClientId{4});
+
+  glt.clear_circulating(ObjectId{9});
+  circ = glt.snapshot().circulating;
+  ASSERT_EQ(circ.size(), 1u);
+  EXPECT_EQ(circ[0].object, ObjectId{2});
+}
+
+TEST(GlobalLocks, RestoreRebuildsTheSnapshotWithoutCountingMutations) {
+  GlobalLockTable glt;
+  glt.add_holder(ObjectId{4}, ClientId{2}, LockMode::kExclusive);
+  glt.add_holder(ObjectId{1}, ClientId{3}, LockMode::kShared);
+  glt.set_circulating(ObjectId{6}, ClientId{1});
+  const auto snap = glt.snapshot();
+  glt.clear();
+  glt.restore(snap);
+
+  EXPECT_EQ(glt.mutations(), 3u);
+  EXPECT_EQ(glt.holder_mode(ObjectId{4}, ClientId{2}), LockMode::kExclusive);
+  EXPECT_EQ(glt.holder_mode(ObjectId{1}, ClientId{3}), LockMode::kShared);
+  EXPECT_TRUE(glt.is_circulating(ObjectId{6}));
+  EXPECT_EQ(glt.location_of(ObjectId{6}), SiteId{1});
+  glt.validate_invariants();
+}
+
+TEST(GlobalLocks, MutationCountCoversNoOpsAndSurvivesClear) {
+  GlobalLockTable glt;
+  glt.add_holder(ObjectId{7}, ClientId{1}, LockMode::kExclusive);
+  glt.downgrade_holder(ObjectId{7}, ClientId{1});
+  glt.remove_holder(ObjectId{7}, ClientId{1});
+  // Calls that change nothing still count: the stream has one entry per call.
+  glt.remove_holder(ObjectId{1}, ClientId{1});
+  glt.clear_circulating(ObjectId{1});
+  EXPECT_EQ(glt.mutations(), 5u);
+  EXPECT_TRUE(glt.snapshot().holds.empty());
+  EXPECT_TRUE(glt.snapshot().circulating.empty());
+
+  glt.clear();
+  EXPECT_EQ(glt.mutations(), 5u);
+  // Queries and recall bookkeeping are not holder/circulation mutations.
+  glt.mark_recall_sent(ObjectId{2}, ClientId{1});
+  glt.clear_recall(ObjectId{2}, ClientId{1});
+  (void)glt.holder_mode(ObjectId{2}, ClientId{1});
+  EXPECT_EQ(glt.mutations(), 5u);
+}
+
 }  // namespace
 }  // namespace rtdb::lock
