@@ -16,9 +16,10 @@ if [ ! -x "$VERIFY" ]; then
   exit 2
 fi
 
-# Fault-free lines carry no ':'; chaos lines are <prototype>:<schedule>.
+# Default-configuration fault-free lines carry no ':' or '@'; chaos lines
+# are <prototype>:<schedule>, scaled lines <prototype>@<clients>.
 actual=$("$VERIFY" | awk '/determinism/ {sub(/^digest=/, "", $4); print $2, $4}')
-golden=$(grep -v '^#' scripts/golden_digests.txt | awk 'NF && $1 !~ /:/ {print $1, $2}')
+golden=$(grep -v '^#' scripts/golden_digests.txt | awk 'NF && $1 !~ /[:@]/ {print $1, $2}')
 
 if [ "$actual" != "$golden" ]; then
   echo "compare_digests: determinism digest drift detected" >&2
@@ -53,4 +54,30 @@ if [ -n "$server_golden" ]; then
     exit 1
   fi
   echo "compare_digests: all server-chaos digests match golden"
+fi
+
+# Scaled lines: the paper's cluster at 5 % updates, where site selection
+# ships and decomposes transactions (the default 16-client run barely does).
+scaled_golden=$(grep -v '^#' scripts/golden_digests.txt | awk 'NF && $1 ~ /@/ {print $1, $2}')
+if [ -n "$scaled_golden" ]; then
+  scaled_actual=$(while read -r name _; do
+    case ${name%@*} in
+      CE-RTDBS) system=ce ;;
+      CS-RTDBS) system=cs ;;
+      LS-CS-RTDBS) system=ls ;;
+      OCC-CS-RTDBS) system=occ ;;
+      *) echo "compare_digests: unknown prototype in $name" >&2; exit 2 ;;
+    esac
+    "$VERIFY" --system "$system" --clients "${name#*@}" --updates 5 \
+              --duration 600 --warmup 100 --mode determinism |
+      awk -v name="$name" '/determinism/ {sub(/^digest=/, "", $4); print name, $4}'
+  done <<< "$scaled_golden")
+  if [ "$scaled_actual" != "$scaled_golden" ]; then
+    echo "compare_digests: scaled digest drift detected" >&2
+    diff <(printf '%s\n' "$scaled_golden") <(printf '%s\n' "$scaled_actual") >&2
+    echo "(golden on the left, this build on the right; scaled digests cover" \
+         "H1/H2 shipping and decomposition at 100 clients)" >&2
+    exit 1
+  fi
+  echo "compare_digests: all scaled digests match golden"
 fi

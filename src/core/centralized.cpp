@@ -33,11 +33,7 @@ void CentralizedSystem::submit_to_server(txn::Transaction txn,
                             config_.ce_txn_overhead)) {
       // The outage alone outlasts the deadline: account the miss at the
       // terminal instead of shipping a transaction that cannot finish.
-      txn.state = txn::TxnState::kMissed;
-      if (tel_.events_enabled()) {
-        tel_.event(obs::EventKind::kTxnMiss, now, txn.origin, txn.id);
-      }
-      record_miss(txn);
+      resolve(txn, txn::TxnState::kMissed, txn.origin);
       return;
     }
     // Hold the submit at the terminal until the server is back — jittered,
@@ -96,13 +92,7 @@ void CentralizedSystem::pump_admission() {
     if (!next || next->deadline >= sim_.now() + required) break;
     expired.push_back(std::move(*next));
   }
-  for (auto& t : expired) {
-    t.state = txn::TxnState::kMissed;
-    if (tel_.events_enabled()) {
-      tel_.event(obs::EventKind::kTxnMiss, sim_.now(), kServerSite, t.id);
-    }
-    record_miss(t);
-  }
+  for (auto& t : expired) resolve(t, txn::TxnState::kMissed, kServerSite);
   if (!next) return;
   admission_busy_ = true;
   // Serial per-transaction server overhead (thread dispatch, parsing,
@@ -115,12 +105,7 @@ void CentralizedSystem::pump_admission() {
           // the transaction died with it. Do not touch admission_busy_ —
           // the crash reset it, and the restarted incarnation may already
           // own it again.
-          txn.state = txn::TxnState::kMissed;
-          if (tel_.events_enabled()) {
-            tel_.event(obs::EventKind::kTxnMiss, sim_.now(), kServerSite,
-                       txn.id);
-          }
-          record_miss(txn);
+          resolve(txn, txn::TxnState::kMissed, kServerSite);
           return;
         }
         admission_busy_ = false;
@@ -142,11 +127,7 @@ void CentralizedSystem::admit(txn::Transaction txn) {
 
   // Missed already (server overload can delay admission past the deadline)?
   if (ref.t.missed(sim_.now())) {
-    ref.t.state = txn::TxnState::kMissed;
-    if (tel_.events_enabled()) {
-      tel_.event(obs::EventKind::kTxnMiss, sim_.now(), kServerSite, id);
-    }
-    record_miss(ref.t);
+    resolve(ref.t, txn::TxnState::kMissed, kServerSite);
     destroy(id);
     return;
   }
@@ -221,11 +202,7 @@ void CentralizedSystem::handle_local_deadlock(TxnId id) {
     });
     return;
   }
-  live->t.state = txn::TxnState::kAborted;
-  if (tel_.events_enabled()) {
-    tel_.event(obs::EventKind::kTxnAbort, sim_.now(), kServerSite, id);
-  }
-  record_abort(live->t);
+  resolve(live->t, txn::TxnState::kAborted, kServerSite);
   locks_.release_all(id);
   sim_.cancel(live->deadline_timer);
   destroy(id);
@@ -300,12 +277,8 @@ void CentralizedSystem::execute(Live& live) {
 void CentralizedSystem::commit(TxnId id) {
   Live* live = find(id);
   assert(live && live->t.state == txn::TxnState::kExecuting);
-  live->t.state = txn::TxnState::kCommitted;
   sim_.cancel(live->deadline_timer);
-  if (tel_.events_enabled()) {
-    tel_.event(obs::EventKind::kTxnCommit, sim_.now(), kServerSite, id);
-  }
-  record_commit(live->t, sim_.now());
+  resolve(live->t, txn::TxnState::kCommitted, kServerSite);
   observed_length_.add(live->t.length.sec());
   // Version bookkeeping for the consistency audit (single-site locking
   // makes this trivially serial, which is exactly what the audit confirms).
@@ -333,11 +306,7 @@ void CentralizedSystem::handle_deadline(TxnId id) {
   Live* live = find(id);
   if (!live || !txn::is_live(live->t.state)) return;
   const bool was_executing = live->t.state == txn::TxnState::kExecuting;
-  live->t.state = txn::TxnState::kMissed;
-  if (tel_.events_enabled()) {
-    tel_.event(obs::EventKind::kTxnMiss, sim_.now(), kServerSite, id);
-  }
-  record_miss(live->t);
+  resolve(live->t, txn::TxnState::kMissed, kServerSite);
   locks_.release_all(id);  // releases holds and cancels queued waits
   if (was_executing) {
     --busy_slots_;
@@ -355,11 +324,7 @@ void CentralizedSystem::on_server_crash() {
   // The admission queue lived in server memory: every parked transaction
   // dies here and is accounted immediately.
   while (auto t = admission_.pop()) {
-    t->state = txn::TxnState::kMissed;
-    if (tel_.events_enabled()) {
-      tel_.event(obs::EventKind::kTxnMiss, sim_.now(), kServerSite, t->id);
-    }
-    record_miss(*t);
+    resolve(*t, txn::TxnState::kMissed, kServerSite);
   }
   // Every in-flight transaction dies with the server. Sweep in sorted id
   // order so the miss records (and their telemetry events) are independent
@@ -375,11 +340,7 @@ void CentralizedSystem::on_server_crash() {
     Live* l = find(id);
     sim_.cancel(l->deadline_timer);
     if (txn::is_live(l->t.state)) {
-      l->t.state = txn::TxnState::kMissed;
-      if (tel_.events_enabled()) {
-        tel_.event(obs::EventKind::kTxnMiss, sim_.now(), kServerSite, id);
-      }
-      record_miss(l->t);
+      resolve(l->t, txn::TxnState::kMissed, kServerSite);
     }
   }
   for (TxnId id : ids) live_.erase(id);

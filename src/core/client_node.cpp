@@ -12,14 +12,6 @@ namespace rtdb::core {
 
 using lock::LockMode;
 
-namespace {
-
-/// A transaction may be shipped at most this many times (loop guard; the
-/// paper ships once, from the originating client).
-constexpr std::uint32_t kMaxShips = 1;
-
-}  // namespace
-
 ClientNode::ClientNode(ClientServerSystem& sys, ClientId id, std::size_t index)
     : sys_(sys),
       id_(id),
@@ -47,7 +39,6 @@ LoadInfo ClientNode::current_load() const {
   info.live_txns = live_count();
   info.atl =
       atl_.count() ? atl_.mean() : sys_.cfg().workload.mean_length.sec();
-  info.valid = true;
   return info;
 }
 
@@ -87,10 +78,10 @@ void ClientNode::on_new_transaction(txn::Transaction t) {
   if (crashed_) {
     // Manual-driver path only: System gates workload arrivals while the
     // site is down, but a bootstrap harness may inject directly.
-    sys_.note_miss(t);
+    sys_.note(t, txn::TxnState::kMissed);
     return;
   }
-  begin(std::move(t), site_, /*remote=*/false, /*ships=*/0);
+  begin(std::move(t), site_);
 }
 
 // ---------------------------------------------------------------------------
@@ -113,26 +104,27 @@ void ClientNode::crash() {
     if (sys_.telemetry().spans_enabled()) {
       sys_.telemetry().txn_end(id, obs::Outcome::kMissed, now);
     }
-    if (!live->remote && !live->is_subtask) sys_.note_miss(live->t);
+    if (owns_outcome(*live)) sys_.note(live->t, txn::TxnState::kMissed);
   }
   live_.clear();
   ready_.clear();
   busy_slots_ = 0;
 
   // Origin-side records of work running elsewhere: the answers will never
-  // be received here, so their outcomes resolve now.
-  for (auto& [id, rec] : shipped_) {
-    (void)id;
-    sys_.sim().cancel(rec.deadline_timer);
-    sys_.note_miss(rec.t);
+  // be received here, so their outcomes resolve now, in id order.
+  std::vector<TxnId> away;
+  away.reserve(away_.size());
+  for (const auto& [id, rec] : away_) {
+    (void)rec;
+    away.push_back(id);
   }
-  shipped_.clear();
-  for (auto& [id, rec] : parents_) {
-    (void)id;
+  std::sort(away.begin(), away.end());
+  for (TxnId id : away) {
+    const Away& rec = away_.at(id);
     sys_.sim().cancel(rec.deadline_timer);
-    sys_.note_miss(rec.t);
+    sys_.note(rec.t, txn::TxnState::kMissed);
   }
-  parents_.clear();
+  away_.clear();
 
   // Dirty returns still awaiting their ack: the retransmission state dies
   // with the site, so those versions are lost for good — account them.
@@ -145,7 +137,7 @@ void ClientNode::crash() {
   std::sort(unacked.begin(), unacked.end());
   for (ObjectId obj : unacked) sys_.accounted_loss(obj);
 
-  // The volatile dataspace: both cache tiers, the mirrored server locks,
+  // The volatile dataspace: both cache tiers, the cached server locks,
   // the copy versions, travelling forward duties, deferred callbacks.
   auto& stats = sys_.injector()->stats();
   stats.crash_wiped_pages += cache_.size();
@@ -224,7 +216,7 @@ void ClientNode::on_server_restart(bool failover) {
   server_down_ = false;
   ++server_epoch_;
   if (crashed_) return;   // a crashed site holds nothing to re-assert
-  if (failover) return;   // the promoted standby mirrored every lease
+  if (failover) return;   // the promoted snapshot kept every lease
   if (!sys_.faults_active()) return;
 
   // Grace rebuild: re-register every retained server lock under the new
@@ -233,30 +225,34 @@ void ClientNode::on_server_restart(bool failover) {
   std::vector<ReassertEntry> entries;
   for (std::size_t i = 0; i < server_mode_.extent(); ++i) {
     const ObjectId obj{static_cast<ObjectId::Rep>(i)};
-    const LockMode mode = cached_server_mode(obj);
-    if (mode == LockMode::kNone) continue;
-    ReassertEntry e;
-    e.object = obj;
-    e.mode = mode;
-    e.dirty = cache_.contains(obj) && cache_.is_dirty(obj);
-    e.version = cache_.version_of(obj);
-    entries.push_back(e);
+    if (cached_server_mode(obj) != LockMode::kNone) {
+      entries.push_back(reassert_entry(obj));
+    }
   }
   sys_.sim().cancel(reassert_.timer);
   reassert_ = PendingReassert{};
   if (entries.empty()) return;
   reassert_.entries = std::move(entries);
-  send_reassert(/*retransmit=*/false);
+  send_reassert(reassert_.entries, /*retransmit=*/false);
   arm_reassert_retry(sys_.injector()->plan().request_timeout);
 }
 
-void ClientNode::send_reassert(bool retransmit) {
-  if (reassert_.entries.empty()) return;
+ReassertEntry ClientNode::reassert_entry(ObjectId obj) const {
+  ReassertEntry e;
+  e.object = obj;
+  e.mode = cached_server_mode(obj);
+  e.dirty = cache_.contains(obj) && cache_.is_dirty(obj);
+  e.version = cache_.version_of(obj);
+  return e;
+}
+
+void ClientNode::send_reassert(std::vector<ReassertEntry> entries,
+                               bool retransmit) {
   ++sys_.injector()->stats().reasserts_sent;
   ReassertBatch batch;
   batch.client = id_;
   batch.epoch = server_epoch_;
-  batch.entries = reassert_.entries;
+  batch.entries = std::move(entries);
   batch.retransmit = retransmit;
   batch.load = current_load();
   sys_.net().send_batch<net::MessageKind::kLockReassert>(
@@ -286,18 +282,14 @@ void ClientNode::reassert_timer_fired() {
           })) {
     return;
   }
-  send_reassert(/*retransmit=*/true);
+  send_reassert(reassert_.entries, /*retransmit=*/true);
   arm_reassert_retry(timeout);
 }
 
 void ClientNode::late_reassert(ObjectId obj) {
   // A forward hop converted to a retained hold after the restart batch
   // already went out: register the straggler under the running mechanism.
-  ReassertEntry e;
-  e.object = obj;
-  e.mode = cached_server_mode(obj);
-  e.dirty = cache_.contains(obj) && cache_.is_dirty(obj);
-  e.version = cache_.version_of(obj);
+  const ReassertEntry e = reassert_entry(obj);
   bool found = false;
   for (auto& existing : reassert_.entries) {
     if (existing.object == obj) {
@@ -306,15 +298,7 @@ void ClientNode::late_reassert(ObjectId obj) {
     }
   }
   if (!found) reassert_.entries.push_back(e);
-  ++sys_.injector()->stats().reasserts_sent;
-  ReassertBatch batch;
-  batch.client = id_;
-  batch.epoch = server_epoch_;
-  batch.entries.push_back(e);
-  batch.load = current_load();
-  sys_.net().send_batch<net::MessageKind::kLockReassert>(
-      id_, net::kServer, 1,
-      [this, batch = std::move(batch)] { sys_.server().on_reassert(batch); });
+  send_reassert({e}, /*retransmit=*/false);
   if (reassert_.timer == sim::kNoEvent) {
     reassert_.retry.restart_budget();
     arm_reassert_retry(sys_.injector()->plan().request_timeout);
@@ -433,18 +417,12 @@ void ClientNode::warm_insert(ObjectId obj) {
   server_mode_.slot(obj) = LockMode::kShared;
 }
 
-void ClientNode::begin(txn::Transaction t, SiteId origin, bool remote,
-                       std::uint32_t ships, bool is_subtask, TxnId parent,
-                       std::uint32_t subtask_index) {
+void ClientNode::begin(txn::Transaction t, SiteId origin, TxnId parent) {
   const TxnId id = t.id;
   auto live = std::make_unique<Live>();
   live->t = std::move(t);
   live->origin = origin;
-  live->remote = remote;
-  live->ships = ships;
-  live->is_subtask = is_subtask;
   live->parent = parent;
-  live->subtask_index = subtask_index;
   live->needs = live->t.lock_needs();
   Live& ref = *live;
   live_.emplace(id, std::move(live));
@@ -455,7 +433,9 @@ void ClientNode::begin(txn::Transaction t, SiteId origin, bool remote,
     // admit is idempotent and only the hop is recorded.
     sys_.telemetry().txn_admit(id, origin, ref.t.arrival, ref.t.deadline,
                                sys_.sim().now());
-    if (remote) sys_.telemetry().txn_hop(id, site_, sys_.sim().now());
+    if (origin != site_) {
+      sys_.telemetry().txn_hop(id, site_, sys_.sim().now());
+    }
   }
 
   if (ref.t.missed(sys_.sim().now())) {
@@ -475,8 +455,8 @@ void ClientNode::begin(txn::Transaction t, SiteId origin, bool remote,
   // always-decomposing strictly hurts under the symmetric ~100% offered
   // load of Table 1 (sub-tasks multiply queue entries), so decomposition
   // here is the overload-rescue path — see DESIGN.md §6.
-  const bool overloaded = !remote && !is_subtask && ls.enable_h1 &&
-                          ships < kMaxShips && !h1_admits(ref.t);
+  const bool overloaded =
+      owns_outcome(ref) && ls.enable_h1 && !h1_admits(ref.t);
   if (overloaded) {
     ++sys_.live_metrics().h1_rejections;
     const bool srv_down =
@@ -552,7 +532,6 @@ void ClientNode::on_location_reply(LocationReply reply) {
         start_decomposition(*live, reply);
         break;
       case QueryPurpose::kPlacement:
-      case QueryPurpose::kConflict:
         decide_placement(*live, reply);
         break;
       case QueryPurpose::kNone:
@@ -604,7 +583,7 @@ void ClientNode::decide_placement(Live& live, const LocationReply& reply) {
   }
 
   bool ship = false;
-  if (best && live.ships < kMaxShips) {
+  if (best) {
     if (conflict_phase) {
       // H2: ship only into a site where the transaction would wait on *no*
       // conflicting lock at all ("immediate access to the required data").
@@ -666,7 +645,7 @@ void ClientNode::decide_placement(Live& live, const LocationReply& reply) {
 
 void ClientNode::ship_txn(TxnId id, ClientId to) {
   Live* live = find(id);
-  assert(live && !live->remote);
+  assert(live && owns_outcome(*live));
   ++sys_.live_metrics().shipped_txns;
   if (sys_.telemetry().events_enabled()) {
     sys_.telemetry().event(obs::EventKind::kTxnShip, sys_.sim().now(), site_,
@@ -677,24 +656,7 @@ void ClientNode::ship_txn(TxnId id, ClientId to) {
   msg.t = live->t;
   msg.t.state = txn::TxnState::kPending;
   msg.origin = id_;
-  msg.ships = live->ships + 1;
-
-  // Undo any local acquisition state; the origin only tracks the outcome.
-  sys_.sim().cancel(live->deadline_timer);
-  sys_.sim().cancel(live->retry_timer);
-  llm_.release_all(id);
-  live_.erase(id);
-
-  Shipped rec;
-  rec.t = msg.t;
-  rec.deadline_timer = sys_.sim().at(rec.t.deadline, [this, id] {
-    auto it = shipped_.find(id);
-    if (it == shipped_.end()) return;
-    sys_.note_miss(it->second.t);
-    shipped_.erase(it);
-  });
-  shipped_.emplace(id, std::move(rec));
-
+  send_away(id, /*remaining=*/1, /*decomposed=*/false);
   sys_.net().send<net::MessageKind::kTxnShip>(
       id_, to, [this, to, msg = std::move(msg)] {
         sys_.client(to).on_shipped_txn(msg);
@@ -705,8 +667,7 @@ void ClientNode::on_shipped_txn(ShippedTxn shipped) {
   cpu_.submit(sys_.cfg().client_msg_overhead,
               [this, shipped = std::move(shipped)] {
                 if (crashed_) return;
-                begin(shipped.t, site_of(shipped.origin), /*remote=*/true,
-                      shipped.ships);
+                begin(shipped.t, site_of(shipped.origin));
               });
 }
 
@@ -736,7 +697,7 @@ void ClientNode::start_decomposition(Live& live, const LocationReply& reply) {
   if (subtasks.size() < 2) {
     // Nothing to split: continue with the ordinary pipeline (H1 next).
     const LsOptions& ls = sys_.ls();
-    if (ls.enable_h1 && live.ships < kMaxShips && !h1_admits(live.t)) {
+    if (ls.enable_h1 && !h1_admits(live.t)) {
       ++sys_.live_metrics().h1_rejections;
       query_locations(live, QueryPurpose::kPlacement);
     } else {
@@ -753,23 +714,10 @@ void ClientNode::start_decomposition(Live& live, const LocationReply& reply) {
                            static_cast<double>(subtasks.size()));
   }
 
-  const TxnId parent_id = live.t.id;
-  Parent parent;
-  parent.t = live.t;
-  parent.remaining = subtasks.size();
-  parent.deadline_timer = sys_.sim().at(parent.t.deadline, [this, parent_id] {
-    auto it = parents_.find(parent_id);
-    if (it == parents_.end()) return;
-    sys_.note_miss(it->second.t);
-    parents_.erase(it);
-  });
-
   // The original's Live entry dissolves into sub-tasks; its outcome is
-  // tracked through parents_.
-  sys_.sim().cancel(live.deadline_timer);
-  sys_.sim().cancel(live.retry_timer);
-  live_.erase(parent_id);
-  parents_.emplace(parent_id, std::move(parent));
+  // tracked through away_.
+  const TxnId parent_id = live.t.id;
+  send_away(parent_id, subtasks.size(), /*decomposed=*/true);
 
   for (const auto& st : subtasks) {
     txn::Transaction work;
@@ -782,12 +730,10 @@ void ClientNode::start_decomposition(Live& live, const LocationReply& reply) {
     work.decomposable = false;
 
     if (st.site == site_) {
-      begin(std::move(work), site_, /*remote=*/false, kMaxShips,
-            /*is_subtask=*/true, parent_id, st.index);
+      begin(std::move(work), site_, parent_id);
     } else {
       ShippedSubtask msg;
       msg.parent = parent_id;
-      msg.index = st.index;
       msg.origin = id_;
       msg.work = std::move(work);
       sys_.net().send<net::MessageKind::kSubtaskShip>(
@@ -803,47 +749,51 @@ void ClientNode::on_shipped_subtask(ShippedSubtask shipped) {
   cpu_.submit(sys_.cfg().client_msg_overhead,
               [this, shipped = std::move(shipped)] {
                 if (crashed_) return;
-                begin(shipped.work, site_of(shipped.origin), /*remote=*/true,
-                      kMaxShips, /*is_subtask=*/true,
-                      shipped.parent, shipped.index);
+                begin(shipped.work, site_of(shipped.origin), shipped.parent);
               });
+}
+
+void ClientNode::send_away(TxnId id, std::size_t remaining,
+                           bool decomposed) {
+  // Undo any local acquisition state; the origin only tracks the outcome.
+  Live* live = find(id);
+  sys_.sim().cancel(live->deadline_timer);
+  sys_.sim().cancel(live->retry_timer);
+  llm_.release_all(id);
+  Away rec;
+  rec.t = std::move(live->t);
+  rec.remaining = remaining;
+  rec.decomposed = decomposed;
+  live_.erase(id);
+  rec.deadline_timer = sys_.sim().at(rec.t.deadline, [this, id] {
+    auto it = away_.find(id);
+    if (it == away_.end()) return;
+    sys_.note(it->second.t, txn::TxnState::kMissed);
+    away_.erase(it);
+  });
+  away_.emplace(id, std::move(rec));
 }
 
 void ClientNode::on_remote_result(RemoteResult result) {
   cpu_.submit(sys_.cfg().client_msg_overhead, [this, result] {
     if (crashed_) return;
-    if (result.is_subtask) {
-      auto it = parents_.find(result.id);
-      if (it == parents_.end()) return;  // already resolved (miss/failure)
-      Parent& parent = it->second;
-      if (!result.success) {
-        // "The failure of any subtask to meet the transaction deadline
-        // implies the failure of the entire transaction."
-        sys_.sim().cancel(parent.deadline_timer);
-        sys_.note_miss(parent.t);
-        parents_.erase(it);
-        return;
-      }
-      if (--parent.remaining == 0) {
-        // Answer synthesis at the originating client.
-        sys_.sim().cancel(parent.deadline_timer);
-        sys_.note_commit(parent.t, sys_.sim().now());
-        update_atl(parent.t, sys_.sim().now());
-        parents_.erase(it);
-      }
-      return;
-    }
-
-    auto it = shipped_.find(result.id);
-    if (it == shipped_.end()) return;  // deadline timer got there first
-    Shipped& rec = it->second;
+    // A missing record was already resolved: by its deadline timer (which
+    // fires before any later answer), a failed sub-task, or a crash.
+    auto it = away_.find(result.id);
+    if (it == away_.end()) return;
+    Away& rec = it->second;
+    if (result.success && --rec.remaining > 0) return;
+    // Every answer is in (answer synthesis at the originating client), or
+    // one failed: "the failure of any subtask to meet the transaction
+    // deadline implies the failure of the entire transaction."
     sys_.sim().cancel(rec.deadline_timer);
-    if (result.success && sys_.sim().now() <= rec.t.deadline) {
-      sys_.note_commit(rec.t, sys_.sim().now());
+    if (result.success) {
+      sys_.note(rec.t, txn::TxnState::kCommitted);
+      if (rec.decomposed) update_atl(rec.t, sys_.sim().now());
     } else {
-      sys_.note_miss(rec.t);
+      sys_.note(rec.t, txn::TxnState::kMissed);
     }
-    shipped_.erase(it);
+    away_.erase(it);
   });
 }
 
@@ -991,9 +941,8 @@ void ClientNode::evaluate_objects(TxnId id) {
     }
     const bool mostly_local =
         2 * (live->needs.size() - data_absent) >= live->needs.size();
-    bool want_locations = ls.enable_h2 && !live->remote &&
-                          !live->is_subtask &&
-                          live->ships < kMaxShips && !mostly_local;
+    bool want_locations =
+        ls.enable_h2 && owns_outcome(*live) && !mostly_local;
     if (want_locations && srv_down) {
       // The H2 location service is down with the server: execute where we
       // stand instead of waiting on a ship-or-stay answer that cannot come.
@@ -1003,7 +952,7 @@ void ClientNode::evaluate_objects(TxnId id) {
     send_batch(*live, missing, /*auto_proceed=*/!want_locations);
     // A conflict reply (if the server cannot grant everything) will be
     // dispatched to decide_placement via this marker.
-    if (want_locations) live->pending_query = QueryPurpose::kConflict;
+    if (want_locations) live->pending_query = QueryPurpose::kPlacement;
   }
   maybe_ready(id);
 }
@@ -1093,7 +1042,7 @@ void ClientNode::need_satisfied(TxnId id, ObjectId obj) {
 void ClientNode::maybe_ready(TxnId id) {
   Live* live = find(id);
   if (!live || live->t.state != txn::TxnState::kAcquiring) return;
-  // A pending kConflict location reply never blocks readiness: the reply
+  // A pending conflict location reply never blocks readiness: the reply
   // only ever arrives when some need is still awaiting.
   if (live->local_locks_pending > 0 || !live->awaiting.empty() ||
       live->cache_ios > 0) {
@@ -1180,64 +1129,33 @@ void ClientNode::finish(TxnId id, txn::TxnState final_state) {
   sys_.sim().cancel(live->retry_timer);
 
   if (sys_.telemetry().spans_enabled()) {
-    // Closes spans that never reach a System::record_* chokepoint
+    // Closes spans that never reach the System::record chokepoint
     // (sub-tasks); for the rest the later chokepoint call is an
     // idempotent no-op with the same instant and outcome.
-    const obs::Outcome o = final_state == txn::TxnState::kCommitted
-                               ? obs::Outcome::kCommitted
-                           : final_state == txn::TxnState::kMissed
-                               ? obs::Outcome::kMissed
-                               : obs::Outcome::kAborted;
-    sys_.telemetry().txn_end(id, o, sys_.sim().now());
+    sys_.telemetry().txn_end(id, outcome_of(final_state), sys_.sim().now());
   }
   if (sys_.telemetry().events_enabled()) {
-    const obs::EventKind ek = final_state == txn::TxnState::kCommitted
-                                  ? obs::EventKind::kTxnCommit
-                              : final_state == txn::TxnState::kMissed
-                                  ? obs::EventKind::kTxnMiss
-                                  : obs::EventKind::kTxnAbort;
-    sys_.telemetry().event(ek, sys_.sim().now(), site_, id);
+    sys_.telemetry().event(event_of(final_state), sys_.sim().now(), site_, id);
   }
 
-  // Outcome reporting: the origin owns the accounting.
-  const bool success = final_state == txn::TxnState::kCommitted;
-  if (live->is_subtask) {
-    RemoteResult result;
-    result.id = live->parent;
-    result.subtask_index = live->subtask_index;
-    result.is_subtask = true;
-    result.success = success;
-    if (live->origin == site_) {
-      on_remote_result(result);
-    } else {
-      sys_.net().send<net::MessageKind::kSubtaskResult>(
-          id_, client_of(live->origin),
-          [this, origin = client_of(live->origin), result] {
-            sys_.client(origin).on_remote_result(result);
-          });
-    }
-  } else if (live->remote) {
-    RemoteResult result;
-    result.id = live->t.id;
-    result.success = success;
-    sys_.net().send<net::MessageKind::kTxnResult>(
-        id_, client_of(live->origin),
-        [this, origin = client_of(live->origin), result] {
-          sys_.client(origin).on_remote_result(result);
-        });
+  // Outcome reporting: the origin owns the accounting. Work run for an
+  // Away record answers it: locally (a sub-task of our own) or by message.
+  if (owns_outcome(*live)) {
+    sys_.note(live->t, final_state);
   } else {
-    switch (final_state) {
-      case txn::TxnState::kCommitted:
-        sys_.note_commit(live->t, sys_.sim().now());
-        break;
-      case txn::TxnState::kMissed:
-        sys_.note_miss(live->t);
-        break;
-      case txn::TxnState::kAborted:
-        sys_.note_abort(live->t);
-        break;
-      default:
-        assert(false && "finish() with a live state");
+    const bool subtask = live->parent != kInvalidTxn;
+    const RemoteResult result{subtask ? live->parent : id,
+                              final_state == txn::TxnState::kCommitted};
+    const ClientId origin = client_of(live->origin);
+    const auto deliver = [this, origin, result] {
+      sys_.client(origin).on_remote_result(result);
+    };
+    if (origin == id_) {
+      on_remote_result(result);
+    } else if (subtask) {
+      sys_.net().send<net::MessageKind::kSubtaskResult>(id_, origin, deliver);
+    } else {
+      sys_.net().send<net::MessageKind::kTxnResult>(id_, origin, deliver);
     }
   }
 
@@ -1322,16 +1240,7 @@ void ClientNode::handle_incoming_object(Grant g, bool via_forward) {
         lock::stronger(cached_server_mode(g.object), LockMode::kShared);
     if (live && txn::is_live(live->t.state) &&
         live->awaiting.count(g.object)) {
-      auto mark = live->request_marks.find(g.object);
-      if (mark != live->request_marks.end()) {
-        const sim::Duration rtt = sys_.sim().now() - mark->second.sent_at;
-        if (sys_.measured(live->t)) {
-          sys_.live_metrics().object_response_shared.add(rtt.sec());
-        }
-        if (sys_.telemetry().spans_enabled()) {
-          sys_.telemetry().object_wait(g.txn, g.object, rtt);
-        }
-      }
+      note_object_response(*live, g.object);
       need_satisfied(g.txn, g.object);
     }
     // Pass the copy along right away (duty not bound to any transaction).
@@ -1365,19 +1274,7 @@ void ClientNode::handle_incoming_object(Grant g, bool via_forward) {
 
     if (live && txn::is_live(live->t.state) &&
         live->awaiting.count(g.object)) {
-      auto mark = live->request_marks.find(g.object);
-      if (mark != live->request_marks.end()) {
-        const sim::Duration rtt = sys_.sim().now() - mark->second.sent_at;
-        if (sys_.measured(live->t)) {
-          auto& series = mark->second.mode == LockMode::kExclusive
-                             ? sys_.live_metrics().object_response_exclusive
-                             : sys_.live_metrics().object_response_shared;
-          series.add(rtt.sec());
-        }
-        if (sys_.telemetry().spans_enabled()) {
-          sys_.telemetry().object_wait(g.txn, g.object, rtt);
-        }
-      }
+      note_object_response(*live, g.object);
       live->circulating_used.push_back(g.object);
       need_satisfied(g.txn, g.object);
     } else {
@@ -1423,20 +1320,23 @@ void ClientNode::handle_incoming_object(Grant g, bool via_forward) {
       lock::stronger(cached_server_mode(g.object), g.mode);
 
   if (live && txn::is_live(live->t.state) && live->awaiting.count(g.object)) {
-    auto mark = live->request_marks.find(g.object);
-    if (mark != live->request_marks.end()) {
-      const sim::Duration rtt = sys_.sim().now() - mark->second.sent_at;
-      if (sys_.measured(live->t)) {
-        auto& series = mark->second.mode == LockMode::kExclusive
-                           ? sys_.live_metrics().object_response_exclusive
-                           : sys_.live_metrics().object_response_shared;
-        series.add(rtt.sec());
-      }
-      if (sys_.telemetry().spans_enabled()) {
-        sys_.telemetry().object_wait(g.txn, g.object, rtt);
-      }
-    }
+    note_object_response(*live, g.object);
     need_satisfied(g.txn, g.object);
+  }
+}
+
+void ClientNode::note_object_response(const Live& live, ObjectId obj) {
+  auto mark = live.request_marks.find(obj);
+  if (mark == live.request_marks.end()) return;
+  const sim::Duration rtt = sys_.sim().now() - mark->second.sent_at;
+  if (sys_.measured(live.t)) {
+    auto& series = mark->second.mode == LockMode::kExclusive
+                       ? sys_.live_metrics().object_response_exclusive
+                       : sys_.live_metrics().object_response_shared;
+    series.add(rtt.sec());
+  }
+  if (sys_.telemetry().spans_enabled()) {
+    sys_.telemetry().object_wait(live.t.id, obj, rtt);
   }
 }
 
@@ -1544,16 +1444,7 @@ void ClientNode::process_recall(ObjectId obj, LockMode wanted) {
 
   // Deferral: local transactions using the object keep it until they
   // release ("once these locks have been released, the server grants...").
-  bool blocked = false;
-  for (TxnId holder : llm_.holders(obj)) {
-    const LockMode local = llm_.held_mode(holder, obj);
-    if (wanted == LockMode::kExclusive ||
-        local == LockMode::kExclusive) {
-      blocked = true;
-      break;
-    }
-  }
-  if (blocked) {
+  if (recall_blocked(obj, wanted)) {
     auto [it, inserted] = deferred_recalls_.emplace(obj, wanted);
     if (!inserted) it->second = lock::stronger(it->second, wanted);
     return;
@@ -1585,21 +1476,23 @@ void ClientNode::process_recall(ObjectId obj, LockMode wanted) {
   send_return(ret);
 }
 
+bool ClientNode::recall_blocked(ObjectId obj, LockMode wanted) const {
+  for (TxnId holder : llm_.holders(obj)) {
+    if (wanted == LockMode::kExclusive ||
+        llm_.held_mode(holder, obj) == LockMode::kExclusive) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void ClientNode::check_deferred_recalls(const std::vector<ObjectId>& objs) {
   for (ObjectId obj : objs) {
     auto it = deferred_recalls_.find(obj);
     if (it == deferred_recalls_.end()) continue;
     const LockMode wanted = it->second;
     // Still blocked by another local transaction?
-    bool blocked = false;
-    for (TxnId holder : llm_.holders(obj)) {
-      const LockMode local = llm_.held_mode(holder, obj);
-      if (wanted == LockMode::kExclusive || local == LockMode::kExclusive) {
-        blocked = true;
-        break;
-      }
-    }
-    if (blocked) continue;
+    if (recall_blocked(obj, wanted)) continue;
     deferred_recalls_.erase(it);
     process_recall(obj, wanted);
   }

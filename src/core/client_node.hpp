@@ -65,7 +65,8 @@ class ClientNode {
 
   /// The server is back under a new epoch. After a grace rebuild this
   /// client re-asserts every retained server lock (bounded retransmission
-  /// until acked); after a failover the mirrored table already holds them.
+  /// until acked); after a failover the promoted snapshot of the crashed
+  /// table already holds them.
   void on_server_restart(bool failover);
 
   /// The server's verdict on a re-assertion batch: accepted entries are
@@ -96,7 +97,7 @@ class ClientNode {
   [[nodiscard]] ClientId id() const { return id_; }
   [[nodiscard]] SiteId site() const { return site_; }
   [[nodiscard]] std::size_t live_count() const {
-    return live_.size() + shipped_.size() + parents_.size();
+    return live_.size() + away_.size();
   }
   [[nodiscard]] lock::LockMode cached_server_mode(ObjectId obj) const;
 
@@ -116,19 +117,17 @@ class ClientNode {
   enum class QueryPurpose : std::uint8_t {
     kNone,
     kDecompose,   ///< split a decomposable transaction by object location
-    kPlacement,   ///< H1 failed: find a better site before admitting
-    kConflict,    ///< server reported conflicts: H2 ship-or-stay decision
+    /// Ship or stay: H1 failed before admission, or (the transaction is
+    /// already acquiring) the server reported conflicts and H2 decides.
+    kPlacement,
   };
 
-  /// A transaction (or sub-task) living at this client.
+  /// A transaction (or sub-task) living at this client. It runs on
+  /// another site's behalf when `origin != site_`.
   struct Live {
     txn::Transaction t;
     SiteId origin = kInvalidSite;  ///< where the user submitted it
-    bool remote = false;           ///< executing on another site's behalf
-    bool is_subtask = false;
-    std::uint32_t subtask_index = 0;
-    TxnId parent = kInvalidTxn;
-    std::uint32_t ships = 0;       ///< times shipped so far
+    TxnId parent = kInvalidTxn;    ///< decomposed original (sub-tasks only)
 
     std::vector<std::pair<ObjectId, lock::LockMode>> needs;
     std::size_t local_locks_pending = 0;
@@ -155,16 +154,13 @@ class ClientNode {
     sim::EventId retry_timer = sim::kNoEvent;
   };
 
-  /// A decomposed original awaiting its sub-tasks.
-  struct Parent {
+  /// Origin-side record of a transaction running elsewhere: shipped whole
+  /// or decomposed into sub-tasks. It owns the outcome until every answer
+  /// is in, one fails, or the deadline passes.
+  struct Away {
     txn::Transaction t;
-    std::size_t remaining = 0;
-    sim::EventId deadline_timer = sim::kNoEvent;
-  };
-
-  /// A transaction shipped away, awaiting its result.
-  struct Shipped {
-    txn::Transaction t;
+    std::size_t remaining = 1;  ///< answers still out (1 when shipped whole)
+    bool decomposed = false;    ///< answer synthesis here feeds ATL
     sim::EventId deadline_timer = sim::kNoEvent;
   };
 
@@ -178,9 +174,12 @@ class ClientNode {
   };
 
   // --- pipeline ---------------------------------------------------------
-  void begin(txn::Transaction t, SiteId origin, bool remote,
-             std::uint32_t ships, bool is_subtask = false,
-             TxnId parent = kInvalidTxn, std::uint32_t subtask_index = 0);
+  void begin(txn::Transaction t, SiteId origin, TxnId parent = kInvalidTxn);
+  /// True for a user transaction submitted here and running here: the
+  /// only kind whose outcome this client records directly.
+  [[nodiscard]] bool owns_outcome(const Live& live) const {
+    return live.origin == site_ && live.parent == kInvalidTxn;
+  }
   void admit_local(TxnId id);
   void on_local_locks(TxnId id);
   void evaluate_objects(TxnId id);
@@ -209,12 +208,21 @@ class ClientNode {
   void decide_placement(Live& live, const LocationReply& reply);
   void start_decomposition(Live& live, const LocationReply& reply);
   void ship_txn(TxnId id, ClientId to);
+  /// Dissolves a local original's Live entry into an Away record awaiting
+  /// `remaining` answers, with its own deadline timer.
+  void send_away(TxnId id, std::size_t remaining, bool decomposed);
 
   // --- callbacks / duties -----------------------------------------------
   void process_recall(ObjectId obj, lock::LockMode wanted);
+  /// A local transaction's lock on `obj` conflicts with a recall wanting
+  /// `wanted`: the callback waits until it is released.
+  [[nodiscard]] bool recall_blocked(ObjectId obj, lock::LockMode wanted) const;
   void check_deferred_recalls(const std::vector<ObjectId>& objs);
   void fulfil_forward_duty(ObjectId obj);
   void handle_incoming_object(Grant g, bool via_forward);
+  /// Table 3: the object answering `live`'s request arrived; records its
+  /// response time from the first request.
+  void note_object_response(const Live& live, ObjectId obj);
   void on_cache_eviction(ObjectId obj, bool dirty, std::uint64_t version);
 
   /// Every ObjectReturn leaves through here. While faults are active, a
@@ -226,8 +234,10 @@ class ClientNode {
   void return_retry_fired(ObjectId obj);
 
   // --- epoch-leased re-assertion (server crash recovery) ------------------
-  /// Sends the outstanding re-assertion batch (kLockReassert).
-  void send_reassert(bool retransmit);
+  /// Re-assertion of the retained lock on `obj` as cached now.
+  [[nodiscard]] ReassertEntry reassert_entry(ObjectId obj) const;
+  /// Sends one re-assertion batch (kLockReassert).
+  void send_reassert(std::vector<ReassertEntry> entries, bool retransmit);
   void arm_reassert_retry(sim::Duration delay);
   void reassert_timer_fired();
   /// A single-object re-assertion after the initial restart batch (a
@@ -262,8 +272,7 @@ class ClientNode {
   common::DenseArray<ObjectId, lock::LockMode> server_mode_;
 
   std::unordered_map<TxnId, std::unique_ptr<Live>> live_;
-  std::unordered_map<TxnId, Parent> parents_;
-  std::unordered_map<TxnId, Shipped> shipped_;
+  std::unordered_map<TxnId, Away> away_;
   std::unordered_map<ObjectId, ForwardDuty> duties_;
   std::unordered_map<ObjectId, lock::LockMode> deferred_recalls_;
 

@@ -1,9 +1,6 @@
 #include "core/client_server.hpp"
 
-#include <algorithm>
 #include <cassert>
-
-#include "workload/access_pattern.hpp"
 
 namespace rtdb::core {
 
@@ -25,33 +22,15 @@ void ClientServerSystem::start() {
     clients_.push_back(std::make_unique<ClientNode>(
         *this, ClientId{static_cast<ClientId::Rep>(i + 1)}, i));
   }
-  if (!config_.warm_start) return;
-  // Steady-state start: each client caches its region under SLs (capped by
-  // its cache capacity), mirrored in the server's global lock table; the
-  // server buffer holds the hottest objects.
-  const auto* pattern = dynamic_cast<const workload::LocalizedRwPattern*>(
-      &suite_.pattern());
-  const std::size_t cache_cap = config_.client_cache.memory_capacity +
-                                config_.client_cache.disk_capacity;
-  if (pattern) {
-    for (std::size_t i = 0; i < config_.num_clients; ++i) {
-      const ClientId client{static_cast<ClientId::Rep>(i + 1)};
-      const ObjectId first = pattern->region_first(i);
-      const std::size_t span =
-          std::min(pattern->region_size(), cache_cap);
-      const ObjectId last{static_cast<ObjectId::Rep>(first.value() + span)};
-      for (ObjectId obj = first; obj < last; ++obj) {
+  // Steady-state start: each client caches its region under SLs, mirrored
+  // in the server's global lock table.
+  warm_start(
+      [this](std::size_t i, ObjectId obj) {
         clients_[i]->warm_insert(obj);
-        server_->warm_register(obj, client);
-      }
-    }
-  }
-  const auto preload = static_cast<ObjectId::Rep>(
-      std::min<std::size_t>(config_.cs_server_buffer_capacity,
-                            config_.workload.db_size));
-  for (ObjectId obj{0}; obj < ObjectId{preload}; ++obj) {
-    server_->warm_preload(obj);
-  }
+        server_->warm_register(obj,
+                               ClientId{static_cast<ClientId::Rep>(i + 1)});
+      },
+      [this](ObjectId obj) { server_->warm_preload(obj); });
 }
 
 void ClientServerSystem::on_arrival(std::size_t client_index,

@@ -35,11 +35,9 @@ class ClientServerSystem final : public System {
   [[nodiscard]] RunMetrics& live_metrics() { return metrics_; }
 
   /// Outcome accounting, exposed to the nodes (origin side only).
-  void note_commit(const txn::Transaction& t, sim::SimTime commit_time) {
-    record_commit(t, commit_time);
+  void note(const txn::Transaction& t, txn::TxnState outcome) {
+    record(t, outcome);
   }
-  void note_miss(const txn::Transaction& t) { record_miss(t); }
-  void note_abort(const txn::Transaction& t) { record_abort(t); }
   [[nodiscard]] bool measured(const txn::Transaction& t) const {
     return is_measured(t);
   }

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "obs/telemetry.hpp"
-#include "workload/access_pattern.hpp"
 
 namespace rtdb::core {
 
@@ -24,27 +23,12 @@ void OptimisticSystem::start() {
     clients_.push_back(
         std::make_unique<ClientState>(sim_, config_.client_cache));
   }
-  if (!config_.warm_start) return;
   // Steady-state start: regions cached (copies only — OCC has no locks).
-  const auto* pattern = dynamic_cast<const workload::LocalizedRwPattern*>(
-      &suite_.pattern());
-  if (pattern) {
-    const std::size_t cap = config_.client_cache.memory_capacity +
-                            config_.client_cache.disk_capacity;
-    for (std::size_t i = 0; i < config_.num_clients; ++i) {
-      const ObjectId first = pattern->region_first(i);
-      const std::size_t span = std::min(pattern->region_size(), cap);
-      const ObjectId last{static_cast<ObjectId::Rep>(first.value() + span)};
-      for (ObjectId obj = first; obj < last; ++obj) {
+  warm_start(
+      [this](std::size_t i, ObjectId obj) {
         clients_[i]->cache.insert(obj, /*dirty=*/false);
-      }
-    }
-  }
-  const auto preload = static_cast<ObjectId::Rep>(std::min<std::size_t>(
-      config_.cs_server_buffer_capacity, config_.workload.db_size));
-  for (ObjectId obj{0}; obj < ObjectId{preload}; ++obj) {
-    pf_->preload(obj);
-  }
+      },
+      [this](ObjectId obj) { pf_->preload(obj); });
 }
 
 OptimisticSystem::Live* OptimisticSystem::find(TxnId id) {
@@ -411,30 +395,10 @@ void OptimisticSystem::finish(TxnId id, txn::TxnState final_state) {
   Live* live = find(id);
   assert(live);
   const bool was_executing = live->t.state == txn::TxnState::kExecuting;
-  live->t.state = final_state;
   sim_.cancel(live->deadline_timer);
   sim_.cancel(live->val_timer);
   if (faults_active()) validated_ok_.erase(id);
-  if (tel_.events_enabled()) {
-    const obs::EventKind k =
-        final_state == txn::TxnState::kCommitted ? obs::EventKind::kTxnCommit
-        : final_state == txn::TxnState::kMissed  ? obs::EventKind::kTxnMiss
-                                                 : obs::EventKind::kTxnAbort;
-    tel_.event(k, sim_.now(), live->t.origin, id);
-  }
-  switch (final_state) {
-    case txn::TxnState::kCommitted:
-      record_commit(live->t, sim_.now());
-      break;
-    case txn::TxnState::kMissed:
-      record_miss(live->t);
-      break;
-    case txn::TxnState::kAborted:
-      record_abort(live->t);
-      break;
-    default:
-      assert(false && "finish() with a live state");
-  }
+  resolve(live->t, final_state, live->t.origin);
   ClientState& cs = state_of(*live);
   if (was_executing && cs.busy_slots > 0) --cs.busy_slots;
   const std::size_t client_index = live->client_index;
@@ -457,10 +421,7 @@ void OptimisticSystem::on_site_crash(std::size_t client_index) {
     Live* l = find(id);
     sim_.cancel(l->deadline_timer);
     sim_.cancel(l->val_timer);
-    if (tel_.events_enabled()) {
-      tel_.event(obs::EventKind::kTxnMiss, sim_.now(), l->t.origin, id);
-    }
-    record_miss(l->t);
+    resolve(l->t, txn::TxnState::kMissed, l->t.origin);
     validated_ok_.erase(id);
     live_.erase(id);
   }

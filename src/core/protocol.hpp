@@ -32,7 +32,6 @@ struct ObjectNeed {
 struct LoadInfo {
   std::size_t live_txns = 0;  ///< transactions in any live state at the site
   double atl = 0;             ///< observed average transaction latency (H1)
-  bool valid = false;
 };
 
 /// A transaction's batched object/lock request. Counted on the wire as one
@@ -142,22 +141,18 @@ struct ObjectReturn {
 struct ShippedTxn {
   txn::Transaction t;
   ClientId origin = kInvalidClient;
-  std::uint32_t ships = 1;  ///< times shipped so far (loop guard)
 };
 
 /// Client -> client: one decomposed sub-task (LS).
 struct ShippedSubtask {
   TxnId parent = kInvalidTxn;
-  std::uint32_t index = 0;
   ClientId origin = kInvalidClient;
   txn::Transaction work;  ///< ops subset, proportional length, same deadline
 };
 
 /// Executing site -> origin: outcome of a shipped transaction or sub-task.
 struct RemoteResult {
-  TxnId id = kInvalidTxn;        ///< shipped txn id, or parent txn id
-  std::uint32_t subtask_index = 0;
-  bool is_subtask = false;
+  TxnId id = kInvalidTxn;  ///< shipped txn id, or the sub-task's parent id
   bool success = false;
 };
 

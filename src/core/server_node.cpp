@@ -58,7 +58,7 @@ void ServerNode::reset_stats() {
 }
 
 void ServerNode::update_load(ClientId client, const LoadInfo& load) {
-  if (load.valid) loads_[client] = load;
+  loads_[client] = load;
 }
 
 // ---------------------------------------------------------------------------

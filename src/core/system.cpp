@@ -1,9 +1,11 @@
 #include "core/system.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
 #include "common/check.hpp"
+#include "workload/access_pattern.hpp"
 
 namespace rtdb::core {
 
@@ -118,14 +120,34 @@ void System::schedule_next_arrival(std::size_t client_index) {
       // The originating site is crashed: the transaction is lost with it.
       // Account it immediately so nothing disappears silently.
       ++injector_->stats().arrivals_while_down;
-      if (tel_.events_enabled()) {
-        tel_.event(obs::EventKind::kTxnMiss, sim_.now(), t.origin, t.id);
-      }
-      record_miss(t);
+      resolve(t, txn::TxnState::kMissed, t.origin);
       return;
     }
     on_arrival(client_index, std::move(t));
   });
+}
+
+void System::warm_start(
+    const std::function<void(std::size_t, ObjectId)>& cache_copy,
+    const std::function<void(ObjectId)>& preload) const {
+  if (!config_.warm_start) return;
+  // Regions exist only under the localized pattern; any other pattern
+  // starts with empty client caches.
+  if (const auto* pattern = dynamic_cast<const workload::LocalizedRwPattern*>(
+          &suite_.pattern())) {
+    const std::size_t cap = config_.client_cache.memory_capacity +
+                            config_.client_cache.disk_capacity;
+    const std::size_t span = std::min(pattern->region_size(), cap);
+    for (std::size_t i = 0; i < config_.num_clients; ++i) {
+      const ObjectId first = pattern->region_first(i);
+      const ObjectId last{static_cast<ObjectId::Rep>(first.value() + span)};
+      for (ObjectId obj = first; obj < last; ++obj) cache_copy(i, obj);
+    }
+  }
+  // The server buffer holds the hottest (lowest-numbered) objects.
+  const auto bound = static_cast<ObjectId::Rep>(std::min<std::size_t>(
+      config_.cs_server_buffer_capacity, config_.workload.db_size));
+  for (ObjectId obj{0}; obj < ObjectId{bound}; ++obj) preload(obj);
 }
 
 void System::on_measurement_start() {
@@ -216,42 +238,34 @@ bool System::first_outcome(const txn::Transaction& t) {
   return false;
 }
 
-void System::record_commit(const txn::Transaction& t,
-                           sim::SimTime commit_time) {
-  if (tel_.spans_enabled()) {
-    tel_.txn_end(t.id, obs::Outcome::kCommitted, commit_time);
+void System::record(const txn::Transaction& t, txn::TxnState outcome) {
+  const obs::Outcome o = outcome_of(outcome);
+  const sim::SimTime now = sim_.now();
+  if (tel_.spans_enabled()) tel_.txn_end(t.id, o, now);
+  if (!is_measured(t) || !first_outcome(t)) return;
+  if (o == obs::Outcome::kCommitted) {
+    ++metrics_.committed;
+    metrics_.response_time.add((now - t.arrival).sec());
+    metrics_.commit_slack.add((t.deadline - now).sec());
+    return;
   }
-  if (!is_measured(t)) return;
-  if (!first_outcome(t)) return;
-  ++metrics_.committed;
-  metrics_.response_time.add((commit_time - t.arrival).sec());
-  metrics_.commit_slack.add((t.deadline - commit_time).sec());
-}
-
-void System::record_miss(const txn::Transaction& t) {
-  if (tel_.spans_enabled()) {
-    tel_.txn_end(t.id, obs::Outcome::kMissed, sim_.now());
-  }
-  if (is_measured(t) && first_outcome(t)) {
+  if (o == obs::Outcome::kMissed) {
     ++metrics_.missed;
-    // The attribution chokepoint: exactly one table entry per measured
-    // miss, so the postmortem totals reconcile with RunMetrics::missed.
-    if (tel_.spans_enabled()) {
-      tel_.attribute_outcome(t.id, obs::Outcome::kMissed);
-    }
+  } else {
+    ++metrics_.aborted;
   }
+  // The attribution chokepoint: exactly one table entry per measured miss
+  // or abort, so the postmortem totals reconcile with RunMetrics.
+  if (tel_.spans_enabled()) tel_.attribute_outcome(t.id, o);
 }
 
-void System::record_abort(const txn::Transaction& t) {
-  if (tel_.spans_enabled()) {
-    tel_.txn_end(t.id, obs::Outcome::kAborted, sim_.now());
+void System::resolve(txn::Transaction& t, txn::TxnState outcome,
+                     SiteId site) {
+  t.state = outcome;
+  if (tel_.events_enabled()) {
+    tel_.event(event_of(outcome), sim_.now(), site, t.id);
   }
-  if (is_measured(t) && first_outcome(t)) {
-    ++metrics_.aborted;
-    if (tel_.spans_enabled()) {
-      tel_.attribute_outcome(t.id, obs::Outcome::kAborted);
-    }
-  }
+  record(t, outcome);
 }
 
 }  // namespace rtdb::core

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_set>
 
@@ -15,13 +17,29 @@
 #include "workload/generator.hpp"
 
 /// \file system.hpp
-/// Common scaffolding shared by the three prototypes: the simulator, the
+/// Common scaffolding shared by the four prototypes: the simulator, the
 /// LAN, the workload sources, arrival scheduling, the warm-up / measurement
-/// / drain phases, and transaction outcome accounting.
+/// / drain phases, the warm start, and transaction outcome accounting.
 
 namespace rtdb::core {
 
-/// Base of CE-RTDBS / CS-RTDBS / LS-CS-RTDBS runs.
+/// Span outcome of a terminal transaction state.
+constexpr obs::Outcome outcome_of(txn::TxnState s) {
+  assert(!txn::is_live(s));
+  return s == txn::TxnState::kCommitted ? obs::Outcome::kCommitted
+         : s == txn::TxnState::kMissed  ? obs::Outcome::kMissed
+                                        : obs::Outcome::kAborted;
+}
+
+/// Typed event announcing a terminal transaction state.
+constexpr obs::EventKind event_of(txn::TxnState s) {
+  assert(!txn::is_live(s));
+  return s == txn::TxnState::kCommitted ? obs::EventKind::kTxnCommit
+         : s == txn::TxnState::kMissed  ? obs::EventKind::kTxnMiss
+                                        : obs::EventKind::kTxnAbort;
+}
+
+/// Base of CE-RTDBS / CS-RTDBS / LS-CS-RTDBS / OCC-CS-RTDBS runs.
 ///
 /// Lifecycle: construct -> run() -> read metrics. One System instance
 /// performs exactly one run.
@@ -118,13 +136,25 @@ class System {
            t.arrival < config_.measure_end();
   }
 
+  /// Warm start (config.warm_start): `cache_copy(i, obj)` for every object
+  /// of client i's region, capped at its memory + disk cache capacity
+  /// (clients in index order, objects ascending), then `preload(obj)` for
+  /// each object the server buffer starts with. No-op on a cold start.
+  void warm_start(const std::function<void(std::size_t, ObjectId)>& cache_copy,
+                  const std::function<void(ObjectId)>& preload) const;
+
   // Outcome accounting. Exactly one outcome per measured transaction is
   // enforced: a second record trips `double_records()` (asserted zero by
   // the property tests) and is dropped.
   void record_generated(const txn::Transaction& t);
-  void record_commit(const txn::Transaction& t, sim::SimTime commit_time);
-  void record_miss(const txn::Transaction& t);
-  void record_abort(const txn::Transaction& t);
+  /// Records the terminal state `outcome` of `t` at the current instant:
+  /// closes its span and, when measured, counts it (a commit also feeds
+  /// the response-time and slack series; a miss or abort the attribution
+  /// table).
+  void record(const txn::Transaction& t, txn::TxnState outcome);
+  /// Sets `t.state` to `outcome`, emits its typed event at `site`, then
+  /// records it.
+  void resolve(txn::Transaction& t, txn::TxnState outcome, SiteId site);
 
  public:
   /// Measured transactions that had a second outcome recorded (bug if >0).

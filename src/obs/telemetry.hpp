@@ -270,7 +270,7 @@ class Telemetry {
   // --- outcome attribution --------------------------------------------------
 
   /// Called once per *measured* missed/aborted transaction (from the
-  /// System::record_* chokepoints) — feeds the miss-attribution table, so
+  /// System::record chokepoint) — feeds the miss-attribution table, so
   /// its totals reconcile exactly with RunMetrics::missed + aborted.
   void attribute_outcome(TxnId id, Outcome outcome);
 

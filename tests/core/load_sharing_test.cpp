@@ -2,6 +2,7 @@
 
 #include "core/client_server.hpp"
 #include "core/runner.hpp"
+#include "fault/fault.hpp"
 
 namespace rtdb::core {
 namespace {
@@ -58,6 +59,29 @@ TEST(LoadSharing, DecomposesSomeTransactions) {
   EXPECT_GT(m.decomposed_txns, 0u);
   EXPECT_GE(m.subtasks_spawned, 2 * m.decomposed_txns);
   EXPECT_GT(m.messages.messages(net::MessageKind::kSubtaskShip), 0u);
+}
+
+TEST(LoadSharing, OriginCrashResolvesAwayWorkOnce) {
+  // The decomposition setup under client crashes: origins die while
+  // shipped transactions and sub-tasks are still out, so the crash sweep,
+  // late answers and the away records' deadline timers race for the same
+  // outcomes. Each transaction must still be recorded exactly once. At
+  // seed 71 one crash lands on an origin with a shipped transaction and a
+  // decomposed original both away.
+  auto cfg = ls_cfg(16, 20.0);
+  cfg.client_executor_slots = 1;
+  cfg.seed = 71;
+  cfg.fault = fault::make_chaos_plan("crashes", cfg.num_clients,
+                                     sim::SimTime{} + cfg.warmup,
+                                     cfg.horizon());
+  ASSERT_EQ(cfg.validate(), "");
+  auto sys = make_system(SystemKind::kLoadSharing, cfg);
+  const auto m = sys->run();
+  EXPECT_GE(sys->injector()->stats().crashes, 1u);
+  EXPECT_GT(m.shipped_txns, 0u);
+  EXPECT_GT(m.decomposed_txns, 0u);
+  EXPECT_TRUE(m.accounted()) << summarize(m);
+  EXPECT_EQ(sys->double_records(), 0u);
 }
 
 TEST(LoadSharing, ForwardListsSatisfyRequests) {

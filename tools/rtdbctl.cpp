@@ -157,8 +157,9 @@ void usage() {
       "                              sorted and non-overlapping)\n"
       "  --fault-server-recover-ms M grace window for the epoch-leased lock\n"
       "                              rebuild after a cold restart (ms)\n"
-      "  --fault-standby             arm the warm standby: promote a mirror\n"
-      "                              instead of the grace rebuild\n"
+      "  --fault-standby             arm the warm standby: promote the\n"
+      "                              crashed table's snapshot instead of\n"
+      "                              the grace rebuild\n"
       "\n"
       "Observability (see docs/observability.md):\n"
       "  --trace-out FILE            write an execution trace of the last\n"
