@@ -23,7 +23,8 @@
 /// it costs clients × db_size, so a per-site array must justify its bytes
 /// per object: `ClientNode::server_mode_` is 1 B and the client's hottest
 /// lookup. State whose extent follows what a client holds belongs with
-/// the holding (copy versions ride in the `storage::ClientCache` frames).
+/// the holding (copy versions live in the `storage::ClientCache` frame of
+/// each cached copy).
 
 namespace rtdb::common {
 

@@ -122,6 +122,7 @@ void CentralizedSystem::admit(txn::Transaction txn) {
   auto live = std::make_unique<Live>();
   live->t = std::move(txn);
   live->t.state = txn::TxnState::kAcquiring;
+  live->needs = live->t.lock_needs();
   Live& ref = *live;
   live_.emplace(id, std::move(live));
 
@@ -138,7 +139,9 @@ void CentralizedSystem::admit(txn::Transaction txn) {
 
 void CentralizedSystem::acquire_locks(Live& live) {
   const TxnId id = live.t.id;
-  const auto needs = live.t.lock_needs();
+  // A copy: a victim callback fired inside acquire() can restart or destroy
+  // this transaction while the loop still walks its needs.
+  const auto needs = live.needs;
   live.locks_pending = needs.size();
   const std::uint32_t epoch = live.epoch;
   for (const auto& [obj, mode] : needs) {
@@ -213,7 +216,7 @@ void CentralizedSystem::on_all_locks(TxnId id) {
   if (!live || !txn::is_live(live->t.state)) return;
   // All locks held: fault in the pages (buffer hits are near-free, misses
   // queue on the server disk).
-  const auto needs = live->t.lock_needs();
+  const auto& needs = live->needs;
   live->ios_pending = needs.size();
   const sim::SimTime io_start = sim_.now();
   for (const auto& [obj, mode] : needs) {
@@ -282,7 +285,7 @@ void CentralizedSystem::commit(TxnId id) {
   observed_length_.add(live->t.length.sec());
   // Version bookkeeping for the consistency audit (single-site locking
   // makes this trivially serial, which is exactly what the audit confirms).
-  for (const auto& [obj, mode] : live->t.lock_needs()) {
+  for (const auto& [obj, mode] : live->needs) {
     if (mode == lock::LockMode::kExclusive) {
       auditor().on_write_commit(obj, kServerSite, ++versions_.slot(obj),
                                 sim_.now());

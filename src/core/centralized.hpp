@@ -48,6 +48,8 @@ class CentralizedSystem final : public System {
  private:
   struct Live {
     txn::Transaction t;
+    /// t.lock_needs(), computed once at admission.
+    std::vector<std::pair<ObjectId, lock::LockMode>> needs;
     std::size_t locks_pending = 0;
     std::size_t ios_pending = 0;
     sim::EventId deadline_timer = sim::kNoEvent;

@@ -41,6 +41,7 @@ void OptimisticSystem::on_arrival(std::size_t client_index,
   const TxnId id = txn.id;
   auto live = std::make_unique<Live>();
   live->t = std::move(txn);
+  live->needs = live->t.lock_needs();
   live->client_index = client_index;
   Live& ref = *live;
   live_.emplace(id, std::move(live));
@@ -62,7 +63,7 @@ void OptimisticSystem::begin_attempt(TxnId id) {
 
   if (faults_active() && injector()->server_down(sim_.now())) {
     bool needs_server = false;
-    for (const auto& [obj, mode] : live->t.lock_needs()) {
+    for (const auto& [obj, mode] : live->needs) {
       (void)mode;
       if (!cs.cache.contains(obj)) {
         needs_server = true;
@@ -97,7 +98,7 @@ void OptimisticSystem::begin_attempt(TxnId id) {
     }
   }
 
-  for (const auto& [obj, mode] : live->t.lock_needs()) {
+  for (const auto& [obj, mode] : live->needs) {
     (void)mode;
     ++live->cache_ios;
     const bool local = cs.cache.access(
@@ -174,7 +175,7 @@ void OptimisticSystem::on_all_fetched(TxnId id) {
   if (!live || !txn::is_live(live->t.state)) return;
   // Snapshot the versions the execution will read.
   ClientState& cs = state_of(*live);
-  for (const auto& [obj, mode] : live->t.lock_needs()) {
+  for (const auto& [obj, mode] : live->needs) {
     (void)mode;
     live->read_set.emplace_back(obj, cs.cache.version_of(obj));
   }
@@ -224,7 +225,7 @@ void OptimisticSystem::validate(TxnId id) {
 void OptimisticSystem::send_validate(Live& live) {
   const TxnId id = live.t.id;
   std::vector<ObjectId> writes;
-  for (const auto& [obj, mode] : live.t.lock_needs()) {
+  for (const auto& [obj, mode] : live.needs) {
     if (mode == lock::LockMode::kExclusive) writes.push_back(obj);
   }
   // The request carries the read-set versions plus the updated objects.

@@ -75,6 +75,9 @@ class OptimisticSystem final : public System {
   /// A transaction somewhere in the fetch -> execute -> validate loop.
   struct Live {
     txn::Transaction t;
+    /// t.lock_needs(), computed once at arrival: the objects every attempt
+    /// fetches, snapshots and (exclusive ones) writes back.
+    std::vector<std::pair<ObjectId, lock::LockMode>> needs;
     std::size_t client_index = 0;
     std::size_t fetches_pending = 0;
     std::size_t cache_ios = 0;

@@ -193,10 +193,10 @@ bool ServerNode::enqueue_conflicted(const ObjectRequestBatch& batch,
   // client-lock granularity.
   std::vector<lock::TxnOrClientNode> blockers;
   for (const auto& need : conflicted) {
-    for (ClientId holder :
-         glt_.conflicting_holders(need.object, need.mode, batch.client)) {
-      blockers.push_back(lock::TxnOrClientNode::of_client(holder));
-    }
+    glt_.for_each_conflicting_holder(
+        need.object, need.mode, batch.client, [&](ClientId holder) {
+          blockers.push_back(lock::TxnOrClientNode::of_client(holder));
+        });
   }
   std::sort(blockers.begin(), blockers.end());
   blockers.erase(std::unique(blockers.begin(), blockers.end()),
@@ -233,9 +233,10 @@ bool ServerNode::enqueue_conflicted(const ObjectRequestBatch& batch,
     note_queued(batch.txn, batch.client, need.object);
     if (sys_.telemetry().spans_enabled() || sys_.telemetry().events_enabled()) {
       SiteId holder = kInvalidSite;
-      const auto hs =
-          glt_.conflicting_holders(need.object, need.mode, batch.client);
-      if (!hs.empty()) holder = site_of(hs.front());
+      glt_.for_each_conflicting_holder(
+          need.object, need.mode, batch.client, [&](ClientId c) {
+            if (holder == kInvalidSite) holder = site_of(c);
+          });
       if (sys_.telemetry().spans_enabled()) {
         sys_.telemetry().lock_queued(batch.txn, need.object, holder,
                                      sys_.sim().now());

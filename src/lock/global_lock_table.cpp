@@ -137,20 +137,6 @@ std::vector<GlobalHold> GlobalLockTable::holders(ObjectId obj) const {
   return st ? st->holders : std::vector<GlobalHold>{};
 }
 
-std::vector<ClientId> GlobalLockTable::conflicting_holders(
-    ObjectId obj, LockMode mode, ClientId requester) const {
-  RTDB_PERF_COUNT(kGltConflictScans);
-  std::vector<ClientId> result;
-  const State* st = state_if_any(obj);
-  if (!st) return result;
-  for (const auto& h : st->holders) {
-    if (h.client != requester && !compatible(h.mode, mode)) {
-      result.push_back(h.client);
-    }
-  }
-  return result;
-}
-
 bool GlobalLockTable::has_conflict(ObjectId obj, LockMode mode,
                                    ClientId requester) const {
   RTDB_PERF_COUNT(kGltConflictScans);

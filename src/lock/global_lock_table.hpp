@@ -8,6 +8,7 @@
 
 #include "common/flat_hash.hpp"
 #include "common/ids.hpp"
+#include "common/perf.hpp"
 #include "lock/forward_list.hpp"
 #include "lock/modes.hpp"
 #include "sim/stats.hpp"
@@ -58,14 +59,22 @@ class GlobalLockTable {
   /// All client holds on `obj`.
   [[nodiscard]] std::vector<GlobalHold> holders(ObjectId obj) const;
 
-  /// Clients whose hold on `obj` conflicts with `mode` (excluding the
-  /// requester itself).
-  [[nodiscard]] std::vector<ClientId> conflicting_holders(
-      ObjectId obj, LockMode mode, ClientId requester) const;
+  /// Calls `f(client)` for every client whose hold on `obj` conflicts with
+  /// `mode` (excluding the requester itself), in holder order. One
+  /// conflict scan; nothing is allocated.
+  template <class F>
+  void for_each_conflicting_holder(ObjectId obj, LockMode mode,
+                                   ClientId requester, F&& f) const {
+    RTDB_PERF_COUNT(kGltConflictScans);
+    const State* st = state_if_any(obj);
+    if (st == nullptr) return;
+    for (const auto& h : st->holders) {
+      if (h.client != requester && !compatible(h.mode, mode)) f(h.client);
+    }
+  }
 
   /// True if any other holder's mode conflicts with `mode` on `obj`.
-  /// Allocation-free existence test — use this instead of
-  /// `!conflicting_holders(...).empty()` on query paths.
+  /// Existence test that stops at the first conflict.
   [[nodiscard]] bool has_conflict(ObjectId obj, LockMode mode,
                                   ClientId requester) const;
 

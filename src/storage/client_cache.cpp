@@ -1,127 +1,179 @@
 #include "storage/client_cache.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "common/check.hpp"
 
 namespace rtdb::storage {
 
-CacheTier ClientCache::tier_of(ObjectId id) const {
-  if (memory_.contains(id)) return CacheTier::kMemory;
-  if (disk_tier_.contains(id)) return CacheTier::kDisk;
-  return CacheTier::kNone;
+ClientCache::ClientCache(sim::Simulator& sim, ClientCacheConfig config)
+    : sim_(sim), config_(config), disk_(sim, config.disk) {
+  if (config.memory_capacity == 0 || config.disk_capacity == 0) {
+    throw std::invalid_argument("ClientCache tier capacities must be >= 1");
+  }
 }
 
-void ClientCache::place_in_memory(ObjectId id, bool dirty,
-                                  std::uint64_t version) {
-  auto demoted = memory_.insert(id, dirty, version);
-  if (!demoted) return;
+CacheTier ClientCache::tier_of(ObjectId id) const {
+  const Frame* f = find(id);
+  return f == nullptr ? CacheTier::kNone : f->tier;
+}
+
+std::optional<ClientCache::Frame> ClientCache::make_room_in_memory() {
+  if (memory_.size < config_.memory_capacity) return std::nullopt;
+  std::optional<Frame> evicted;
+  const std::uint32_t demoted = memory_.tail;
+  frames_.unlink(memory_, demoted);
   // Demotion writes the object to the local disk cache file.
   disk_.write();
-  auto evicted =
-      disk_tier_.insert(demoted->id, demoted->dirty, demoted->payload);
-  if (evicted && on_evict_) {
-    on_evict_(evicted->id, evicted->dirty, evicted->payload);
+  if (disk_tier_.size >= config_.disk_capacity) {
+    evicted = frames_[disk_tier_.tail];
+    forget(disk_tier_.tail);
   }
+  frames_[demoted].tier = CacheTier::kDisk;
+  frames_.link_front(disk_tier_, demoted);
+  return evicted;
+}
+
+void ClientCache::place_in_memory(std::uint32_t s,
+                                  const std::optional<Frame>& evicted) {
+  frames_[s].tier = CacheTier::kMemory;
+  frames_.link_front(memory_, s);
+  if (evicted && on_evict_) {
+    on_evict_(evicted->id, evicted->dirty, evicted->version);
+  }
+}
+
+void ClientCache::forget(std::uint32_t s) {
+  index_.erase(frames_[s].id);
+  frames_.unlink(list_of(frames_[s].tier), s);
+  frames_.release(s);
 }
 
 bool ClientCache::access(ObjectId id, bool write, sim::Simulator::Callback done) {
   assert(done);
-  switch (tier_of(id)) {
-    case CacheTier::kMemory: {
-      hits_.inc();
-      memory_.reference(id);
-      if (write) memory_.mark_dirty(id);
-      sim_.after(config_.memory_access_time, std::move(done));
-      return true;
-    }
-    case CacheTier::kDisk: {
-      hits_.inc();
-      const auto copy = disk_tier_.take(id);
-      place_in_memory(id, copy->dirty || write, copy->payload);
-      disk_.read(std::move(done));
-      return true;
-    }
-    case CacheTier::kNone:
-      misses_.inc();
-      return false;
+  const std::uint32_t* slot = index_.find(id);
+  if (slot == nullptr) {
+    misses_.inc();
+    return false;
   }
-  return false;  // unreachable
+  hits_.inc();
+  const std::uint32_t s = *slot;
+  Frame& f = frames_[s];
+  f.dirty = f.dirty || write;
+  if (f.tier == CacheTier::kMemory) {
+    frames_.touch(memory_, s);
+    sim_.after(config_.memory_access_time, std::move(done));
+    return true;
+  }
+  // Disk-tier hit: promote, demoting the memory LRU copy into the place it
+  // left (so nothing is evicted); the demotion's write queues before the
+  // promotion's read.
+  frames_.unlink(disk_tier_, s);
+  place_in_memory(s, make_room_in_memory());
+  disk_.read(std::move(done));
+  return true;
 }
 
 void ClientCache::insert(ObjectId id, bool dirty, std::uint64_t version) {
   // Already cached (e.g. re-granted lock on a resident object): refresh
-  // recency, dirty state and version in place.
-  if (std::uint64_t* v = memory_.payload(id)) {
-    memory_.reference(id);
-    if (dirty) memory_.mark_dirty(id);
-    *v = version;
-  } else if (std::uint64_t* v = disk_tier_.payload(id)) {
-    if (dirty) disk_tier_.mark_dirty(id);
-    *v = version;
-  } else {
-    place_in_memory(id, dirty, version);
+  // dirty state and version in place; recency only in the memory tier.
+  if (const std::uint32_t* slot = index_.find(id)) {
+    Frame& f = frames_[*slot];
+    f.dirty = f.dirty || dirty;
+    f.version = version;
+    if (f.tier == CacheTier::kMemory) frames_.touch(memory_, *slot);
+    return;
   }
+  const std::optional<Frame> evicted = make_room_in_memory();
+  const std::uint32_t s = frames_.acquire();
+  frames_[s].id = id;
+  frames_[s].dirty = dirty;
+  frames_[s].version = version;
+  index_.get_or_insert(id) = s;
+  place_in_memory(s, evicted);
 }
 
 std::uint64_t ClientCache::version_of(ObjectId id) const {
-  if (const std::uint64_t* v = memory_.payload(id)) return *v;
-  if (const std::uint64_t* v = disk_tier_.payload(id)) return *v;
-  return 0;
+  const Frame* f = find(id);
+  return f == nullptr ? 0 : f->version;
 }
 
 std::uint64_t ClientCache::commit_write(ObjectId id) {
-  std::uint64_t* v = memory_.payload(id);
-  if (v != nullptr) {
-    memory_.mark_dirty(id);
-  } else {
-    v = disk_tier_.payload(id);
-    RTDB_CHECK(v != nullptr, "update committed to uncached object %u",
-               id.value());
-    disk_tier_.mark_dirty(id);
-  }
-  return ++*v;
+  const std::uint32_t* slot = index_.find(id);
+  RTDB_CHECK(slot != nullptr, "update committed to uncached object %u",
+             id.value());
+  Frame& f = frames_[*slot];
+  f.dirty = true;
+  return ++f.version;
 }
 
 bool ClientCache::is_dirty(ObjectId id) const {
-  return memory_.is_dirty(id) || disk_tier_.is_dirty(id);
+  const Frame* f = find(id);
+  return f != nullptr && f->dirty;
 }
 
 std::optional<bool> ClientCache::drop(ObjectId id) {
-  if (auto dirty = memory_.erase(id)) return dirty;
-  return disk_tier_.erase(id);
+  const std::uint32_t* slot = index_.find(id);
+  if (slot == nullptr) return std::nullopt;
+  const std::uint32_t s = *slot;
+  const bool dirty = frames_[s].dirty;
+  forget(s);
+  return dirty;
 }
 
 void ClientCache::mark_clean(ObjectId id) {
-  // Re-inserting at the same tier with a clean bit: LruBuffer has no
-  // "clear dirty", so take + insert preserving tier and version.
-  if (auto copy = memory_.take(id)) {
-    memory_.insert(id, /*dirty=*/false, copy->payload);
-  } else if (auto copy = disk_tier_.take(id)) {
-    disk_tier_.insert(id, /*dirty=*/false, copy->payload);
-  }
+  const std::uint32_t* slot = index_.find(id);
+  if (slot == nullptr) return;
+  Frame& f = frames_[*slot];
+  f.dirty = false;
+  frames_.touch(list_of(f.tier), *slot);
 }
 
 std::vector<ObjectId> ClientCache::clear() {
   std::vector<ObjectId> dirty;
-  for (const ObjectId id : memory_.resident_pages()) {
-    if (memory_.is_dirty(id)) dirty.push_back(id);
+  for (Slab::List* tier : {&memory_, &disk_tier_}) {
+    while (tier->head != kNullSlot) {
+      const Frame& f = frames_[tier->head];
+      if (f.dirty) dirty.push_back(f.id);
+      forget(tier->head);
+    }
   }
-  for (const ObjectId id : disk_tier_.resident_pages()) {
-    if (disk_tier_.is_dirty(id)) dirty.push_back(id);
-  }
-  for (const ObjectId id : memory_.resident_pages()) memory_.erase(id);
-  for (const ObjectId id : disk_tier_.resident_pages()) disk_tier_.erase(id);
   return dirty;
 }
 
+std::vector<ObjectId> ClientCache::resident(CacheTier tier) const {
+  std::vector<ObjectId> ids;
+  if (tier == CacheTier::kNone) return ids;
+  const Slab::List& list = list_of(tier);
+  ids.reserve(list.size);
+  frames_.for_each(list, [&](const Frame& f) { ids.push_back(f.id); });
+  return ids;
+}
+
 void ClientCache::validate_invariants() const {
-  memory_.validate_invariants();
-  disk_tier_.validate_invariants();
-  for (const ObjectId id : memory_.resident_pages()) {
-    RTDB_CHECK(!disk_tier_.contains(id),
-               "object %u resident in both cache tiers", id);
+  RTDB_CHECK(memory_.size <= config_.memory_capacity,
+             "%zu copies in memory exceed capacity %zu", memory_.size,
+             config_.memory_capacity);
+  RTDB_CHECK(disk_tier_.size <= config_.disk_capacity,
+             "%zu copies on disk exceed capacity %zu", disk_tier_.size,
+             config_.disk_capacity);
+  index_.validate_invariants();
+  for (const CacheTier tier : {CacheTier::kMemory, CacheTier::kDisk}) {
+    frames_.audit(list_of(tier), [&](std::uint32_t s, const Frame& f) {
+      const std::uint32_t* idx = index_.find(f.id);
+      RTDB_CHECK(idx != nullptr && *idx == s,
+                 "object %u listed at slot %u but not indexed there",
+                 f.id.value(), s);
+      RTDB_CHECK(f.tier == tier, "object %u on tier list %d carries tier %d",
+                 f.id.value(), static_cast<int>(tier),
+                 static_cast<int>(f.tier));
+    });
   }
+  RTDB_CHECK(index_.size() == memory_.size + disk_tier_.size,
+             "index holds %zu copies, tier lists %zu + %zu", index_.size(),
+             memory_.size, disk_tier_.size);
+  frames_.audit_free(memory_.size + disk_tier_.size);
 }
 
 double ClientCache::hit_rate() const {

@@ -2,12 +2,15 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
+#include "common/flat_hash.hpp"
 #include "common/ids.hpp"
 #include "sim/simulator.hpp"
-#include "storage/buffer_manager.hpp"
+#include "sim/stats.hpp"
 #include "storage/disk.hpp"
+#include "storage/frame_slab.hpp"
 
 /// \file client_cache.hpp
 /// Two-tier client object cache ("the set of objects cached at a client is
@@ -21,6 +24,11 @@
 /// The cache is the one owner of per-copy state: each resident copy carries
 /// its version next to its dirty bit, so a client pays for the copies it
 /// holds, never for the size of the database.
+///
+/// Layout: one id index onto one slab of frames (id, tier, dirty bit,
+/// version, LRU links) threaded into two intrusive LRU lists, one per tier.
+/// A query is one index probe; promotion, demotion and mark_clean are list
+/// relinks; the index changes only when a copy enters or leaves the cache.
 
 namespace rtdb::storage {
 
@@ -42,12 +50,8 @@ class ClientCache {
   /// The frame is gone when the hook runs, so it carries the copy's state.
   using EvictionHook = std::function<void(ObjectId, bool, std::uint64_t)>;
 
-  ClientCache(sim::Simulator& sim, ClientCacheConfig config)
-      : sim_(sim),
-        config_(config),
-        disk_(sim, config.disk),
-        memory_(config.memory_capacity),
-        disk_tier_(config.disk_capacity) {}
+  /// Both capacities must be >= 1 (std::invalid_argument otherwise).
+  ClientCache(sim::Simulator& sim, ClientCacheConfig config);
 
   ClientCache(const ClientCache&) = delete;
   ClientCache& operator=(const ClientCache&) = delete;
@@ -92,7 +96,8 @@ class ClientCache {
   std::optional<bool> drop(ObjectId id);
 
   /// Clears the dirty bit (after the update was returned to the server);
-  /// the copy keeps its tier and its version.
+  /// the copy keeps its tier and its version and moves to the MRU end of
+  /// its tier.
   void mark_clean(ObjectId id);
 
   /// Crash wipe (fault injection): empties both tiers at once, versions
@@ -107,14 +112,17 @@ class ClientCache {
   [[nodiscard]] std::uint64_t misses() const { return misses_.value(); }
   [[nodiscard]] double hit_rate() const;
 
-  [[nodiscard]] std::size_t size() const {
-    return memory_.size() + disk_tier_.size();
-  }
+  [[nodiscard]] std::size_t size() const { return index_.size(); }
 
   [[nodiscard]] const Disk& disk() const { return disk_; }
 
-  /// Invariant audit: both tiers pass their own audits and no object is
-  /// resident in memory and on the local disk at once. Aborts on violation.
+  /// Ids resident in one tier, MRU to LRU (audits and tests).
+  [[nodiscard]] std::vector<ObjectId> resident(CacheTier tier) const;
+
+  /// Invariant audit: each tier within its capacity; both lists' links
+  /// consistent; every listed frame indexed at its slot and carrying its
+  /// list's tier; the index exactly the two lists; the free list the rest
+  /// of the slab. Aborts on violation.
   void validate_invariants() const;
 
   void reset_stats() {
@@ -124,18 +132,48 @@ class ClientCache {
   }
 
  private:
-  /// One tier: LRU frames whose payload is the copy's version.
-  using Tier = LruBuffer<ObjectId, std::uint64_t>;
+  struct Frame {
+    ObjectId id{};
+    CacheTier tier = CacheTier::kNone;
+    bool dirty = false;
+    std::uint32_t prev = kNullSlot;
+    std::uint32_t next = kNullSlot;
+    std::uint64_t version = 0;
+  };
+  using Slab = FrameSlab<Frame>;
 
-  /// Moves an object into the memory tier, demoting the LRU victim to the
-  /// disk tier and possibly evicting from there.
-  void place_in_memory(ObjectId id, bool dirty, std::uint64_t version);
+  [[nodiscard]] Slab::List& list_of(CacheTier tier) {
+    return tier == CacheTier::kMemory ? memory_ : disk_tier_;
+  }
+  [[nodiscard]] const Slab::List& list_of(CacheTier tier) const {
+    return tier == CacheTier::kMemory ? memory_ : disk_tier_;
+  }
+  [[nodiscard]] const Frame* find(ObjectId id) const {
+    const std::uint32_t* s = index_.find(id);
+    return s == nullptr ? nullptr : &frames_[*s];
+  }
+
+  /// Frees a place in a full memory tier: demotes the memory LRU copy to
+  /// the disk tier's MRU end (queueing its local-disk write), first
+  /// evicting the disk LRU copy when that tier is full too. Returns the
+  /// evicted copy, whose hook the caller fires once its own frame is
+  /// placed.
+  std::optional<Frame> make_room_in_memory();
+
+  /// Links slot `s` at the memory tier's MRU end, then reports `evicted`.
+  void place_in_memory(std::uint32_t s,
+                       const std::optional<Frame>& evicted);
+
+  /// Removes slot `s` from its tier list, the index and the slab.
+  void forget(std::uint32_t s);
 
   sim::Simulator& sim_;
   ClientCacheConfig config_;
   Disk disk_;
-  Tier memory_;
-  Tier disk_tier_;
+  common::FlatMap<ObjectId, std::uint32_t> index_;
+  Slab frames_;
+  Slab::List memory_;
+  Slab::List disk_tier_;
   EvictionHook on_evict_;
   sim::Counter hits_;
   sim::Counter misses_;

@@ -50,8 +50,10 @@ TEST(GlobalLocks, ConflictingHoldersExcludesRequester) {
   GlobalLockTable glt;
   glt.add_holder(ObjectId{1}, ClientId{2}, LockMode::kShared);
   glt.add_holder(ObjectId{1}, ClientId{3}, LockMode::kShared);
-  auto conflicts =
-      glt.conflicting_holders(ObjectId{1}, LockMode::kExclusive, ClientId{2});
+  std::vector<ClientId> conflicts;
+  glt.for_each_conflicting_holder(
+      ObjectId{1}, LockMode::kExclusive, ClientId{2},
+      [&](ClientId c) { conflicts.push_back(c); });
   EXPECT_EQ(conflicts, (std::vector<ClientId>{ClientId{3}}));
 }
 

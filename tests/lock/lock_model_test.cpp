@@ -242,7 +242,10 @@ TEST(GlobalLockModel, ConflictCountMatchesBruteForce) {
         static_cast<ClientId::Rep>(1 + rng.uniform_int(0, 5))};
     std::size_t brute = 0;
     for (const auto& [obj, mode] : needs) {
-      if (!glt.conflicting_holders(obj, mode, site).empty()) ++brute;
+      bool conflict = false;
+      glt.for_each_conflicting_holder(obj, mode, site,
+                                      [&](ClientId) { conflict = true; });
+      if (conflict) ++brute;
     }
     EXPECT_EQ(glt.conflict_count_at(needs, site), brute);
   }

@@ -94,6 +94,80 @@ TEST(ClientCache, AccessDiskTierPromotesAndPaysRead) {
   EXPECT_EQ(cache.hits(), 1u);
 }
 
+TEST(ClientCache, DiskHitWithMemoryFullSwapsPlacesWithoutEviction) {
+  sim::Simulator sim;
+  ClientCache cache(sim, cfg(2, 2));
+  int evictions = 0;
+  cache.set_eviction_hook(
+      [&](ObjectId, bool, std::uint64_t) { ++evictions; });
+  for (ObjectId i{1}; i <= ObjectId{4}; ++i) cache.insert(i);
+  // memory: 4 3   disk: 2 1 — both tiers full.
+  ASSERT_EQ(cache.disk().writes(), 2u);
+  sim.after(sim::seconds(1.0), [] {});  // let the demotion writes drain
+  sim.run();
+  const sim::SimTime start = sim.now();
+  sim::SimTime done{-1.0};
+  EXPECT_TRUE(cache.access(ObjectId{1}, false, [&] { done = sim.now(); }));
+  // 3 (memory LRU) takes the disk place 1 left, at the disk MRU end.
+  EXPECT_EQ(cache.resident(CacheTier::kMemory),
+            (std::vector<ObjectId>{ObjectId{1}, ObjectId{4}}));
+  EXPECT_EQ(cache.resident(CacheTier::kDisk),
+            (std::vector<ObjectId>{ObjectId{3}, ObjectId{2}}));
+  EXPECT_EQ(evictions, 0);
+  EXPECT_EQ(cache.disk().writes(), 3u);
+  EXPECT_EQ(cache.disk().reads(), 1u);
+  sim.run();
+  // The demotion's write queues ahead of the promotion's read.
+  EXPECT_DOUBLE_EQ((done - start).sec(), 0.016);
+}
+
+TEST(ClientCache, InsertOnDiskTierKeepsRecency) {
+  sim::Simulator sim;
+  ClientCache cache(sim, cfg(1, 3));
+  cache.insert(ObjectId{1}, /*dirty=*/true, /*version=*/1);
+  cache.insert(ObjectId{2}, /*dirty=*/false, /*version=*/2);
+  cache.insert(ObjectId{3}, /*dirty=*/false, /*version=*/3);
+  cache.insert(ObjectId{4});  // disk: 3 2 1
+  cache.insert(ObjectId{1}, /*dirty=*/false, /*version=*/10);
+  cache.insert(ObjectId{2}, /*dirty=*/true, /*version=*/20);
+  EXPECT_EQ(cache.resident(CacheTier::kDisk),
+            (std::vector<ObjectId>{ObjectId{3}, ObjectId{2}, ObjectId{1}}));
+  EXPECT_EQ(cache.version_of(ObjectId{1}), 10u);
+  EXPECT_TRUE(cache.is_dirty(ObjectId{1}));  // OR-ed, not replaced
+  EXPECT_EQ(cache.version_of(ObjectId{2}), 20u);
+  EXPECT_TRUE(cache.is_dirty(ObjectId{2}));
+  cache.validate_invariants();
+}
+
+TEST(ClientCache, ReusableAfterClear) {
+  sim::Simulator sim;
+  ClientCache cache(sim, cfg(2, 2));
+  std::vector<ObjectId> evicted;
+  cache.set_eviction_hook(
+      [&](ObjectId id, bool, std::uint64_t) { evicted.push_back(id); });
+  cache.insert(ObjectId{1}, /*dirty=*/true);
+  cache.insert(ObjectId{2});
+  cache.insert(ObjectId{3}, /*dirty=*/true);
+  cache.insert(ObjectId{4}, /*dirty=*/true);  // memory: 4 3  disk: 2 1
+  // Dirty copies, memory MRU->LRU, then disk MRU->LRU.
+  EXPECT_EQ(cache.clear(),
+            (std::vector<ObjectId>{ObjectId{4}, ObjectId{3}, ObjectId{1}}));
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.contains(ObjectId{1}));
+  EXPECT_EQ(cache.version_of(ObjectId{4}), 0u);
+  cache.validate_invariants();
+  // Refilled past both tiers: the usual demotion and eviction order.
+  for (ObjectId i{10}; i <= ObjectId{14}; ++i) cache.insert(i, false, 7);
+  EXPECT_EQ(cache.resident(CacheTier::kMemory),
+            (std::vector<ObjectId>{ObjectId{14}, ObjectId{13}}));
+  EXPECT_EQ(cache.resident(CacheTier::kDisk),
+            (std::vector<ObjectId>{ObjectId{12}, ObjectId{11}}));
+  EXPECT_EQ(evicted, std::vector<ObjectId>{ObjectId{10}});
+  EXPECT_EQ(cache.version_of(ObjectId{12}), 7u);
+  EXPECT_TRUE(cache.clear().empty());
+  cache.validate_invariants();
+}
+
 TEST(ClientCache, AccessMissCountsWithoutCallback) {
   sim::Simulator sim;
   ClientCache cache(sim, cfg());
