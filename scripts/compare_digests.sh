@@ -16,49 +16,53 @@ if [ ! -x "$VERIFY" ]; then
   exit 2
 fi
 
+# Every stage runs and prints each line that drifted, so drift in a later
+# stage (chaos, server-chaos, scaled) is never hidden behind drift in an
+# earlier one; the exit status is 1 when any stage drifted.
+drifted=0
+
+# compare <stage> <hint> <golden> <actual>
+compare() {
+  if [ "$4" != "$3" ]; then
+    echo "compare_digests: $1 digest drift detected" >&2
+    diff <(printf '%s\n' "$3") <(printf '%s\n' "$4") >&2
+    echo "(golden on the left, this build on the right; $2)" >&2
+    drifted=1
+  else
+    echo "compare_digests: all $1 digests match golden"
+  fi
+}
+
+golden_lines() {  # golden_lines <awk condition on the name field $1>
+  grep -v '^#' scripts/golden_digests.txt | awk "NF && ($1) {print \$1, \$2}"
+}
+
 # Default-configuration fault-free lines carry no ':' or '@'; chaos lines
 # are <prototype>:<schedule>, scaled lines <prototype>@<clients>.
-actual=$("$VERIFY" | awk '/determinism/ {sub(/^digest=/, "", $4); print $2, $4}')
-golden=$(grep -v '^#' scripts/golden_digests.txt | awk 'NF && $1 !~ /[:@]/ {print $1, $2}')
+compare prototype \
+  "update scripts/golden_digests.txt only for intended behavior changes" \
+  "$(golden_lines '$1 !~ /[:@]/')" \
+  "$("$VERIFY" | awk '/determinism/ {sub(/^digest=/, "", $4); print $2, $4}')"
 
-if [ "$actual" != "$golden" ]; then
-  echo "compare_digests: determinism digest drift detected" >&2
-  diff <(printf '%s\n' "$golden") <(printf '%s\n' "$actual") >&2
-  echo "(golden on the left, this build on the right;" \
-       "update scripts/golden_digests.txt only for intended behavior changes)" >&2
-  exit 1
-fi
-echo "compare_digests: all prototype digests match golden"
-
-chaos_golden=$(grep -v '^#' scripts/golden_digests.txt | awk 'NF && $1 ~ /:/ && $1 !~ /:server-/ {print $1, $2}')
+chaos_golden=$(golden_lines '$1 ~ /:/ && $1 !~ /:server-/')
 if [ -n "$chaos_golden" ]; then
-  chaos_actual=$("$VERIFY" --chaos | awk '/ chaos /  {sub(/^digest=/, "", $4); print $2, $4}')
-  if [ "$chaos_actual" != "$chaos_golden" ]; then
-    echo "compare_digests: chaos digest drift detected" >&2
-    diff <(printf '%s\n' "$chaos_golden") <(printf '%s\n' "$chaos_actual") >&2
-    echo "(golden on the left, this build on the right; chaos digests fold the" \
-         "fault/recovery counters — drift means injection or recovery changed)" >&2
-    exit 1
-  fi
-  echo "compare_digests: all chaos digests match golden"
+  compare chaos \
+    "chaos digests fold the fault/recovery counters — drift means injection or recovery changed" \
+    "$chaos_golden" \
+    "$("$VERIFY" --chaos | awk '/ chaos /  {sub(/^digest=/, "", $4); print $2, $4}')"
 fi
 
-server_golden=$(grep -v '^#' scripts/golden_digests.txt | awk 'NF && $1 ~ /:server-/ {print $1, $2}')
+server_golden=$(golden_lines '$1 ~ /:server-/')
 if [ -n "$server_golden" ]; then
-  server_actual=$("$VERIFY" --chaos-server | awk '/ chaos /  {sub(/^digest=/, "", $4); print $2, $4}')
-  if [ "$server_actual" != "$server_golden" ]; then
-    echo "compare_digests: server-chaos digest drift detected" >&2
-    diff <(printf '%s\n' "$server_golden") <(printf '%s\n' "$server_actual") >&2
-    echo "(golden on the left, this build on the right; server-chaos digests" \
-         "cover the crash/epoch-recovery/standby paths)" >&2
-    exit 1
-  fi
-  echo "compare_digests: all server-chaos digests match golden"
+  compare server-chaos \
+    "server-chaos digests cover the crash/epoch-recovery/standby paths" \
+    "$server_golden" \
+    "$("$VERIFY" --chaos-server | awk '/ chaos /  {sub(/^digest=/, "", $4); print $2, $4}')"
 fi
 
 # Scaled lines: the paper's cluster at 5 % updates, where site selection
 # ships and decomposes transactions (the default 16-client run barely does).
-scaled_golden=$(grep -v '^#' scripts/golden_digests.txt | awk 'NF && $1 ~ /@/ {print $1, $2}')
+scaled_golden=$(golden_lines '$1 ~ /@/')
 if [ -n "$scaled_golden" ]; then
   scaled_actual=$(while read -r name _; do
     case ${name%@*} in
@@ -72,12 +76,9 @@ if [ -n "$scaled_golden" ]; then
               --duration 600 --warmup 100 --mode determinism |
       awk -v name="$name" '/determinism/ {sub(/^digest=/, "", $4); print name, $4}'
   done <<< "$scaled_golden")
-  if [ "$scaled_actual" != "$scaled_golden" ]; then
-    echo "compare_digests: scaled digest drift detected" >&2
-    diff <(printf '%s\n' "$scaled_golden") <(printf '%s\n' "$scaled_actual") >&2
-    echo "(golden on the left, this build on the right; scaled digests cover" \
-         "H1/H2 shipping and decomposition at 100 clients)" >&2
-    exit 1
-  fi
-  echo "compare_digests: all scaled digests match golden"
+  compare scaled \
+    "scaled digests cover H1/H2 shipping and decomposition at 100 clients" \
+    "$scaled_golden" "$scaled_actual"
 fi
+
+exit $drifted

@@ -1,24 +1,21 @@
 #include "core/centralized.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/telemetry.hpp"
 
 namespace rtdb::core {
 
 CentralizedSystem::CentralizedSystem(SystemConfig config)
-    : System(std::move(config)), overhead_cpu_(sim_) {
+    : System(std::move(config)),
+      exec_(*this, sim_, tel_, kServerSite, config_.ce_executor_slots, &locks_,
+            RestartRule{config_.deadlock_retries, config_.deadlock_backoff}),
+      overhead_cpu_(sim_) {
   storage::PagedFileConfig pfc;
   pfc.buffer_capacity = config_.ce_buffer_capacity;
   pfc.memory_access_time = config_.server_memory_access;
   pfc.disk = config_.server_disk;
   pf_ = std::make_unique<storage::PagedFile>(sim_, pfc);
-}
-
-CentralizedSystem::Live* CentralizedSystem::find(TxnId id) {
-  auto it = live_.find(id);
-  return it == live_.end() ? nullptr : it->second.get();
 }
 
 void CentralizedSystem::on_arrival(std::size_t, txn::Transaction txn) {
@@ -134,92 +131,23 @@ void CentralizedSystem::admit(txn::Transaction txn) {
   }
   ref.deadline_timer =
       sim_.at(ref.t.deadline, [this, id] { handle_deadline(id); });
-  acquire_locks(ref);
+  exec_.acquire_locks(id);
 }
 
-void CentralizedSystem::acquire_locks(Live& live) {
+void CentralizedSystem::abort_victim(Live& live) {
+  resolve(live.t, txn::TxnState::kAborted, kServerSite);
+  locks_.release_all(live.t.id);
+  sim_.cancel(live.deadline_timer);
+  destroy(live.t.id);
+}
+
+void CentralizedSystem::on_locks_held(Live& live) {
+  // Fault in the pages (buffer hits are near-free, misses queue on the
+  // server disk).
   const TxnId id = live.t.id;
-  // A copy: a victim callback fired inside acquire() can restart or destroy
-  // this transaction while the loop still walks its needs.
-  const auto needs = live.needs;
-  live.locks_pending = needs.size();
-  const std::uint32_t epoch = live.epoch;
-  for (const auto& [obj, mode] : needs) {
-    const auto outcome = locks_.acquire(
-        id, obj, mode, live.t.deadline,
-        [this, id, epoch, queued_at = sim_.now()](bool granted) {
-          Live* l = find(id);
-          if (!l || l->epoch != epoch || !txn::is_live(l->t.state)) return;
-          if (granted && tel_.spans_enabled()) {
-            tel_.add_wait(id, obs::WaitBucket::kLock,
-                          sim_.now() - queued_at);
-          }
-          if (!granted) {
-            // Late deadlock: a more urgent request closed a cycle through
-            // this waiter. Same recovery as an admission refusal.
-            ++metrics_.deadlock_refusals;
-            handle_local_deadlock(id);
-            return;
-          }
-          if (--l->locks_pending == 0) on_all_locks(id);
-        });
-    switch (outcome) {
-      case lock::LocalLockManager::Outcome::kGranted:
-        --live.locks_pending;
-        break;
-      case lock::LocalLockManager::Outcome::kQueued:
-        break;
-      case lock::LocalLockManager::Outcome::kDeadlock:
-        // The paper's admission rule: a request that would close a
-        // wait-for cycle is refused; the victim restarts with backoff
-        // while its retry budget and deadline allow.
-        ++metrics_.deadlock_refusals;
-        handle_local_deadlock(id);
-        return;
-    }
-  }
-  if (live.locks_pending == 0) on_all_locks(id);
-}
-
-void CentralizedSystem::handle_local_deadlock(TxnId id) {
-  Live* live = find(id);
-  if (!live || !txn::is_live(live->t.state)) return;
-  const sim::Duration backoff =
-      config_.deadlock_backoff * static_cast<double>(live->restarts + 1);
-  if (live->restarts < config_.deadlock_retries &&
-      sim_.now() + backoff < live->t.deadline) {
-    ++live->restarts;
-    ++live->epoch;
-    if (tel_.spans_enabled()) tel_.txn_restart(id, sim_.now());
-    if (tel_.events_enabled()) {
-      tel_.event(obs::EventKind::kTxnRestart, sim_.now(), kServerSite, id);
-    }
-    locks_.release_all(id);
-    const std::uint32_t next_epoch = live->epoch;
-    sim_.after(backoff, [this, id, next_epoch] {
-      Live* l = find(id);
-      if (!l || l->epoch != next_epoch || !txn::is_live(l->t.state)) {
-        return;
-      }
-      acquire_locks(*l);
-    });
-    return;
-  }
-  resolve(live->t, txn::TxnState::kAborted, kServerSite);
-  locks_.release_all(id);
-  sim_.cancel(live->deadline_timer);
-  destroy(id);
-}
-
-void CentralizedSystem::on_all_locks(TxnId id) {
-  Live* live = find(id);
-  if (!live || !txn::is_live(live->t.state)) return;
-  // All locks held: fault in the pages (buffer hits are near-free, misses
-  // queue on the server disk).
-  const auto& needs = live->needs;
-  live->ios_pending = needs.size();
+  live.ios_pending = live.needs.size();
   const sim::SimTime io_start = sim_.now();
-  for (const auto& [obj, mode] : needs) {
+  for (const auto& [obj, mode] : live.needs) {
     pf_->access(obj, mode == lock::LockMode::kExclusive,
                 [this, id, io_start] {
                   Live* l = find(id);
@@ -231,61 +159,21 @@ void CentralizedSystem::on_all_locks(TxnId id) {
                       tel_.add_wait(id, obs::WaitBucket::kDisk,
                                     sim_.now() - io_start);
                     }
-                    on_all_ios(id);
+                    exec_.make_ready(l->t);
                   }
                 });
   }
-  if (live->ios_pending == 0) on_all_ios(id);
+  if (live.ios_pending == 0) exec_.make_ready(live.t);
 }
 
-void CentralizedSystem::on_all_ios(TxnId id) {
-  Live* live = find(id);
-  if (!live || !txn::is_live(live->t.state)) return;
-  live->t.state = txn::TxnState::kReady;
-  if (tel_.spans_enabled()) tel_.txn_ready(id, sim_.now());
-  if (tel_.events_enabled()) {
-    tel_.event(obs::EventKind::kTxnReady, sim_.now(), kServerSite, id);
-  }
-  ready_.push(id, live->t.deadline);
-  pump_executors();
-}
-
-void CentralizedSystem::pump_executors() {
-  while (busy_slots_ < config_.ce_executor_slots) {
-    // Entries whose transaction already resolved (missed via timer) are
-    // skipped; the timers did the accounting.
-    auto next = ready_.pop();
-    if (!next) return;
-    Live* live = find(*next);
-    if (!live || live->t.state != txn::TxnState::kReady) continue;
-    execute(*live);
-  }
-}
-
-void CentralizedSystem::execute(Live& live) {
+void CentralizedSystem::on_executed(Live& live) {
   const TxnId id = live.t.id;
-  live.t.state = txn::TxnState::kExecuting;
-  ++busy_slots_;
-  if (tel_.spans_enabled()) tel_.txn_exec_start(id, sim_.now());
-  if (tel_.events_enabled()) {
-    tel_.event(obs::EventKind::kTxnExec, sim_.now(), kServerSite, id);
-  }
-  sim_.after(live.t.length, [this, id] {
-    Live* l = find(id);
-    if (!l || l->t.state != txn::TxnState::kExecuting) return;
-    commit(id);
-  });
-}
-
-void CentralizedSystem::commit(TxnId id) {
-  Live* live = find(id);
-  assert(live && live->t.state == txn::TxnState::kExecuting);
-  sim_.cancel(live->deadline_timer);
-  resolve(live->t, txn::TxnState::kCommitted, kServerSite);
-  observed_length_.add(live->t.length.sec());
+  sim_.cancel(live.deadline_timer);
+  resolve(live.t, txn::TxnState::kCommitted, kServerSite);
+  observed_length_.add(live.t.length.sec());
   // Version bookkeeping for the consistency audit (single-site locking
   // makes this trivially serial, which is exactly what the audit confirms).
-  for (const auto& [obj, mode] : live->needs) {
+  for (const auto& [obj, mode] : live.needs) {
     if (mode == lock::LockMode::kExclusive) {
       auditor().on_write_commit(obj, kServerSite, ++versions_.slot(obj),
                                 sim_.now());
@@ -296,13 +184,13 @@ void CentralizedSystem::commit(TxnId id) {
     }
   }
   locks_.release_all(id);
-  --busy_slots_;
+  exec_.release();
   // Results go back to the terminal (timing only; the outcome is already
   // accounted server-side).
   net_.send<net::MessageKind::kTxnResult>(net::kServer,
-                                          client_of(live->t.origin), [] {});
+                                          client_of(live.t.origin), [] {});
   destroy(id);
-  pump_executors();
+  exec_.pump();
 }
 
 void CentralizedSystem::handle_deadline(TxnId id) {
@@ -311,11 +199,9 @@ void CentralizedSystem::handle_deadline(TxnId id) {
   const bool was_executing = live->t.state == txn::TxnState::kExecuting;
   resolve(live->t, txn::TxnState::kMissed, kServerSite);
   locks_.release_all(id);  // releases holds and cancels queued waits
-  if (was_executing) {
-    --busy_slots_;
-  }
+  if (was_executing) exec_.release();
   destroy(id);
-  pump_executors();
+  exec_.pump();
 }
 
 void CentralizedSystem::destroy(TxnId id) { live_.erase(id); }
@@ -323,7 +209,6 @@ void CentralizedSystem::destroy(TxnId id) { live_.erase(id); }
 void CentralizedSystem::on_server_crash() {
   ++server_inc_;
   admission_busy_ = false;
-  busy_slots_ = 0;
   // The admission queue lived in server memory: every parked transaction
   // dies here and is accounted immediately.
   while (auto t = admission_.pop()) {
@@ -332,13 +217,7 @@ void CentralizedSystem::on_server_crash() {
   // Every in-flight transaction dies with the server. Sweep in sorted id
   // order so the miss records (and their telemetry events) are independent
   // of hash-map iteration order.
-  std::vector<TxnId> ids;
-  ids.reserve(live_.size());
-  for (const auto& [id, l] : live_) {
-    (void)l;
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
+  const std::vector<TxnId> ids = sorted_keys(live_);
   for (TxnId id : ids) {
     Live* l = find(id);
     sim_.cancel(l->deadline_timer);
@@ -351,7 +230,7 @@ void CentralizedSystem::on_server_crash() {
   // grant callback fires into the find() guard instead of resurrecting a
   // transaction the crash already killed.
   for (TxnId id : ids) locks_.release_all(id);
-  ready_.clear();
+  exec_.clear();
   // The buffer pool (pf_) and versions_ survive: stable storage. Stale
   // continuations — lock grants, disk completions, execution timers, the
   // admission overhead — all bail on find()/server_inc_ guards.
@@ -365,9 +244,9 @@ void CentralizedSystem::on_measurement_start() {
 
 void CentralizedSystem::sample_gauges() {
   tel_.sample("ce.admission_depth", static_cast<double>(admission_.size()));
-  tel_.sample("ce.ready_depth", static_cast<double>(ready_.size()));
+  tel_.sample("ce.ready_depth", static_cast<double>(exec_.queued()));
   tel_.sample("ce.live_txns", static_cast<double>(live_.size()));
-  tel_.sample("ce.busy_slots", static_cast<double>(busy_slots_));
+  tel_.sample("ce.busy_slots", static_cast<double>(exec_.busy()));
   tel_.sample("server.cpu_util", overhead_cpu_.utilization());
   tel_.sample("server.disk_util", pf_->disk().utilization());
   tel_.sample("net.util", net_.utilization());
@@ -377,7 +256,7 @@ void CentralizedSystem::audit_structures() const {
   sim_.validate_invariants();
   locks_.validate_invariants();
   admission_.validate_invariants();
-  ready_.validate_invariants();
+  exec_.validate_invariants();
   pf_->buffer().validate_invariants();
 }
 

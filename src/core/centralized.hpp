@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/dense_map.hpp"
+#include "core/local_exec.hpp"
 #include "core/system.hpp"
 #include "lock/local_lock_manager.hpp"
 #include "sim/resource.hpp"
@@ -46,17 +47,9 @@ class CentralizedSystem final : public System {
   void on_server_crash() override;
 
  private:
-  struct Live {
-    txn::Transaction t;
-    /// t.lock_needs(), computed once at admission.
-    std::vector<std::pair<ObjectId, lock::LockMode>> needs;
-    std::size_t locks_pending = 0;
+  struct Live : LocalTxn {
     std::size_t ios_pending = 0;
     sim::EventId deadline_timer = sim::kNoEvent;
-    /// Deadlock-victim restart bookkeeping; stale callbacks from an older
-    /// attempt carry an older epoch and are ignored.
-    std::uint32_t epoch = 0;
-    std::uint32_t restarts = 0;
   };
 
   /// Terminal-side submit with outage awareness: while the server is down
@@ -70,26 +63,27 @@ class CentralizedSystem final : public System {
   /// serial per-transaction overhead).
   void admit(txn::Transaction txn);
 
-  /// Deadlock-victim recovery (admission refusal or late detection):
-  /// restart with backoff while budget and deadline allow, else abort.
-  void handle_local_deadlock(TxnId id);
-
   /// The serial admission path (per-transaction overhead) runs in ED order
   /// and sheds transactions whose deadline already passed — the paper's
   /// global ED schedule covers everything the server does, so overload
   /// degrades gracefully instead of head-of-line-blocking to zero.
   void pump_admission();
-  void acquire_locks(Live& live);
-  void on_all_locks(TxnId id);
-  void on_all_ios(TxnId id);
-  void pump_executors();
-  void execute(Live& live);
-  void commit(TxnId id);
   void handle_deadline(TxnId id);
   void destroy(TxnId id);
 
-  Live* find(TxnId id);
+  // LocalExecutor hooks (see local_exec.hpp).
+  friend class LocalExecutor<CentralizedSystem>;
+  Live* find(TxnId id) { return find_live(live_, id); }
+  /// Execution over: commit, free the slot and answer the terminal.
+  void on_executed(Live& live);
+  /// All locks held: fault in the pages.
+  void on_locks_held(Live& live);
+  void count_refusal() { ++metrics_.deadlock_refusals; }
+  void reset_attempt(Live& live) { locks_.release_all(live.t.id); }
+  void abort_victim(Live& live);
 
+  /// The server's executor pool (ce_executor_slots) over locks_.
+  LocalExecutor<CentralizedSystem> exec_;
   std::unique_ptr<storage::PagedFile> pf_;
   lock::LocalLockManager locks_;
   sim::SerialResource overhead_cpu_;
@@ -99,9 +93,7 @@ class CentralizedSystem final : public System {
   /// "observed transaction times" heuristic the clients use for H1, here
   /// driving admission feasibility shedding.
   sim::MeanAccumulator observed_length_;
-  txn::EdfQueue<TxnId> ready_;
   std::unordered_map<TxnId, std::unique_ptr<Live>> live_;
-  std::size_t busy_slots_ = 0;
   /// Server incarnation guard: the serial admission overhead captures the
   /// value and, when the server crashed underneath it, accounts the miss
   /// instead of admitting a transaction the crash already killed.

@@ -18,16 +18,15 @@ ClientNode::ClientNode(ClientServerSystem& sys, ClientId id, std::size_t index)
       site_(site_of(id)),
       index_(index),
       cache_(sys.sim(), sys.cfg().client_cache),
-      cpu_(sys.sim()) {
+      cpu_(sys.sim()),
+      exec_(*this, sys.sim(), sys.telemetry(), site_,
+            sys.cfg().client_executor_slots, &llm_,
+            RestartRule{sys.cfg().deadlock_retries,
+                        sys.cfg().deadlock_backoff}) {
   cache_.set_eviction_hook(
       [this](ObjectId obj, bool dirty, std::uint64_t version) {
         on_cache_eviction(obj, dirty, version);
       });
-}
-
-ClientNode::Live* ClientNode::find(TxnId id) {
-  auto it = live_.find(id);
-  return it == live_.end() ? nullptr : it->second.get();
 }
 
 lock::LockMode ClientNode::cached_server_mode(ObjectId obj) const {
@@ -50,10 +49,7 @@ void ClientNode::reset_stats() {
 void ClientNode::validate_invariants() const {
   llm_.validate_invariants();
   cache_.validate_invariants();
-  ready_.validate_invariants();
-  RTDB_CHECK(busy_slots_ <= sys_.cfg().client_executor_slots,
-             "site %d runs %zu executors over the %zu-slot budget",
-             site_.value(), busy_slots_, sys_.cfg().client_executor_slots);
+  exec_.validate_invariants();
   // Forward duties must be consistent: a duty bound to a transaction names
   // one that is still live here.
   for (const auto& [obj, duty] : duties_) {
@@ -107,19 +103,11 @@ void ClientNode::crash() {
     if (owns_outcome(*live)) sys_.note(live->t, txn::TxnState::kMissed);
   }
   live_.clear();
-  ready_.clear();
-  busy_slots_ = 0;
+  exec_.clear();
 
   // Origin-side records of work running elsewhere: the answers will never
   // be received here, so their outcomes resolve now, in id order.
-  std::vector<TxnId> away;
-  away.reserve(away_.size());
-  for (const auto& [id, rec] : away_) {
-    (void)rec;
-    away.push_back(id);
-  }
-  std::sort(away.begin(), away.end());
-  for (TxnId id : away) {
+  for (TxnId id : sorted_keys(away_)) {
     const Away& rec = away_.at(id);
     sys_.sim().cancel(rec.deadline_timer);
     sys_.note(rec.t, txn::TxnState::kMissed);
@@ -128,14 +116,11 @@ void ClientNode::crash() {
 
   // Dirty returns still awaiting their ack: the retransmission state dies
   // with the site, so those versions are lost for good — account them.
-  std::vector<ObjectId> unacked;
-  for (auto& [obj, rec] : pending_returns_) {
-    sys_.sim().cancel(rec.timer);
-    unacked.push_back(obj);
+  for (ObjectId obj : sorted_keys(pending_returns_)) {
+    sys_.sim().cancel(pending_returns_.at(obj).timer);
+    sys_.accounted_loss(obj);
   }
   pending_returns_.clear();
-  std::sort(unacked.begin(), unacked.end());
-  for (ObjectId obj : unacked) sys_.accounted_loss(obj);
 
   // The volatile dataspace: both cache tiers, the cached server locks,
   // the copy versions, travelling forward duties, deferred callbacks.
@@ -174,14 +159,7 @@ void ClientNode::on_server_crash() {
   // exclusive hold — re-asserted at restart like any cached lock. An
   // unbound duty is released; a dirty one carried the only copy of a
   // committed version, which is now an accounted loss.
-  std::vector<ObjectId> duty_objs;
-  duty_objs.reserve(duties_.size());
-  for (const auto& [obj, duty] : duties_) {
-    (void)duty;
-    duty_objs.push_back(obj);
-  }
-  std::sort(duty_objs.begin(), duty_objs.end());
-  for (ObjectId obj : duty_objs) {
+  for (ObjectId obj : sorted_keys(duties_)) {
     auto it = duties_.find(obj);
     ForwardDuty& duty = it->second;
     if (duty.bound != kInvalidTxn) {
@@ -200,15 +178,11 @@ void ClientNode::on_server_crash() {
   // Deadline-aware early abort: a transaction blocked on the dead server
   // whose deadline cannot outlive the outage plus one request round trip
   // has no path to commit — miss it now instead of wasting retransmissions.
-  std::vector<TxnId> doomed;
-  for (const auto& [id, live] : live_) {
-    if (txn::is_live(live->t.state) && !live->awaiting.empty() &&
-        fault::outage_dooms(*sys_.injector(), now, live->t.deadline,
-                            plan.request_timeout)) {
-      doomed.push_back(id);
-    }
-  }
-  std::sort(doomed.begin(), doomed.end());
+  const std::vector<TxnId> doomed = sorted_keys(live_, [&](const auto& live) {
+    return txn::is_live(live->t.state) && !live->awaiting.empty() &&
+           fault::outage_dooms(*sys_.injector(), now, live->t.deadline,
+                               plan.request_timeout);
+  });
   for (TxnId id : doomed) finish(id, txn::TxnState::kMissed);
 }
 
@@ -468,7 +442,7 @@ void ClientNode::begin(txn::Transaction t, SiteId origin, TxnId parent) {
       // local execution rather than parking the transaction behind an
       // outage of unknown length.
       ++sys_.injector()->stats().local_fallbacks;
-      admit_local(id);
+      exec_.acquire_locks(id);
       return;
     }
     if (ls.enable_decomposition && ref.t.decomposable &&
@@ -480,7 +454,7 @@ void ClientNode::begin(txn::Transaction t, SiteId origin, TxnId parent) {
     return;
   }
 
-  admit_local(id);
+  exec_.acquire_locks(id);
 }
 
 bool ClientNode::h1_admits(const txn::Transaction& t) const {
@@ -639,7 +613,7 @@ void ClientNode::decide_placement(Live& live, const LocationReply& reply) {
         id_, net::kServer,
         [this, d] { sys_.server().on_proceed_decision(d); });
   } else {
-    admit_local(live.t.id);
+    exec_.acquire_locks(live.t.id);
   }
 }
 
@@ -701,7 +675,7 @@ void ClientNode::start_decomposition(Live& live, const LocationReply& reply) {
       ++sys_.live_metrics().h1_rejections;
       query_locations(live, QueryPurpose::kPlacement);
     } else {
-      admit_local(live.t.id);
+      exec_.acquire_locks(live.t.id);
     }
     return;
   }
@@ -801,88 +775,18 @@ void ClientNode::on_remote_result(RemoteResult result) {
 // Local pipeline: locks -> objects -> executor -> commit
 // ---------------------------------------------------------------------------
 
-void ClientNode::admit_local(TxnId id) {
-  Live* live = find(id);
-  if (!live || !txn::is_live(live->t.state)) return;
-  live->t.state = txn::TxnState::kAcquiring;
-
-  live->local_locks_pending = live->needs.size();
-  const sim::SimTime deadline = live->t.deadline;
-  const std::uint32_t epoch = live->epoch;
-  for (const auto& [obj, mode] : live->needs) {
-    const auto outcome = llm_.acquire(
-        id, obj, mode, deadline,
-        [this, id, epoch, queued_at = sys_.sim().now()](bool granted) {
-          Live* l = find(id);
-          if (!l || l->epoch != epoch || !txn::is_live(l->t.state)) return;
-          if (!granted) {
-            // Late deadlock: a more urgent local request closed a cycle
-            // through this waiter. Same recovery as an admission refusal.
-            ++sys_.live_metrics().deadlock_refusals;
-            restart_after_deadlock(id);
-            return;
-          }
-          if (sys_.telemetry().spans_enabled()) {
-            // Time spent queued behind a conflicting *local* holder.
-            sys_.telemetry().add_wait(id, obs::WaitBucket::kLock,
-                                      sys_.sim().now() - queued_at);
-          }
-          if (--l->local_locks_pending == 0) on_local_locks(id);
-        });
-    switch (outcome) {
-      case lock::LocalLockManager::Outcome::kGranted:
-        --live->local_locks_pending;
-        break;
-      case lock::LocalLockManager::Outcome::kQueued:
-        break;
-      case lock::LocalLockManager::Outcome::kDeadlock:
-        ++sys_.live_metrics().deadlock_refusals;
-        restart_after_deadlock(id);
-        return;
-    }
-  }
-  if (live->local_locks_pending == 0) on_local_locks(id);
+void ClientNode::count_refusal() {
+  ++sys_.live_metrics().deadlock_refusals;
 }
 
-void ClientNode::restart_after_deadlock(TxnId id) {
-  Live* live = find(id);
-  if (!live || !txn::is_live(live->t.state)) return;
-  const auto& cfg = sys_.cfg();
-  const sim::Duration backoff =
-      cfg.deadlock_backoff * static_cast<double>(live->restarts + 1);
-  if (live->restarts >= cfg.deadlock_retries ||
-      sys_.sim().now() + backoff >= live->t.deadline) {
-    finish(id, txn::TxnState::kAborted);
-    return;
-  }
-  ++live->restarts;
-  ++live->epoch;  // stale lock/cache callbacks from this attempt drop out
-  if (sys_.telemetry().spans_enabled()) {
-    sys_.telemetry().txn_restart(id, sys_.sim().now());
-  }
-  if (sys_.telemetry().events_enabled()) {
-    sys_.telemetry().event(obs::EventKind::kTxnRestart, sys_.sim().now(),
-                           site_, id);
-  }
-  const std::uint32_t epoch = live->epoch;
-  llm_.release_all(id);
-  sys_.sim().cancel(live->retry_timer);
-  live->t.state = txn::TxnState::kPending;
-  live->awaiting.clear();
-  live->cache_ios = 0;
-  live->local_locks_pending = 0;
-  live->pending_query = QueryPurpose::kNone;
-  sys_.sim().after(backoff, [this, id, epoch] {
-    Live* l = find(id);
-    if (!l || l->epoch != epoch || !txn::is_live(l->t.state)) return;
-    admit_local(id);
-  });
-}
-
-void ClientNode::on_local_locks(TxnId id) {
-  Live* live = find(id);
-  if (!live || live->t.state != txn::TxnState::kAcquiring) return;
-  evaluate_objects(id);
+void ClientNode::reset_attempt(Live& live) {
+  llm_.release_all(live.t.id);
+  sys_.sim().cancel(live.retry_timer);
+  live.t.state = txn::TxnState::kPending;
+  live.awaiting.clear();
+  live.cache_ios = 0;
+  live.locks_pending = 0;
+  live.pending_query = QueryPurpose::kNone;
 }
 
 void ClientNode::evaluate_objects(TxnId id) {
@@ -1044,55 +948,21 @@ void ClientNode::maybe_ready(TxnId id) {
   if (!live || live->t.state != txn::TxnState::kAcquiring) return;
   // A pending conflict location reply never blocks readiness: the reply
   // only ever arrives when some need is still awaiting.
-  if (live->local_locks_pending > 0 || !live->awaiting.empty() ||
+  if (live->locks_pending > 0 || !live->awaiting.empty() ||
       live->cache_ios > 0) {
     return;
   }
-  live->t.state = txn::TxnState::kReady;
-  if (sys_.telemetry().spans_enabled()) {
-    sys_.telemetry().txn_ready(id, sys_.sim().now());
-  }
-  if (sys_.telemetry().events_enabled()) {
-    sys_.telemetry().event(obs::EventKind::kTxnReady, sys_.sim().now(),
-                           site_, id);
-  }
-  ready_.push(id, live->t.deadline);
-  pump_executor();
+  exec_.make_ready(live->t);
 }
 
-void ClientNode::pump_executor() {
-  while (busy_slots_ < sys_.cfg().client_executor_slots) {
-    auto next = ready_.pop();
-    if (!next) return;
-    Live* live = find(*next);
-    if (!live || live->t.state != txn::TxnState::kReady) continue;
-    live->t.state = txn::TxnState::kExecuting;
-    ++busy_slots_;
-    if (sys_.telemetry().spans_enabled()) {
-      sys_.telemetry().txn_exec_start(*next, sys_.sim().now());
-    }
-    if (sys_.telemetry().events_enabled()) {
-      sys_.telemetry().event(obs::EventKind::kTxnExec, sys_.sim().now(),
-                             site_, *next);
-    }
-    const TxnId id = *next;
-    sys_.sim().after(live->t.length, [this, id] {
-      Live* l = find(id);
-      if (!l || l->t.state != txn::TxnState::kExecuting) return;
-      commit(id);
-    });
-  }
-}
-
-void ClientNode::commit(TxnId id) {
-  Live* live = find(id);
-  assert(live && live->t.state == txn::TxnState::kExecuting);
-
-  // Updates dirty the cached copies (write-back happens on recall, forward,
-  // or eviction — inter-transaction caching keeps them here). Every access
-  // reports the version it used to the consistency auditor.
+void ClientNode::on_executed(Live& live) {
+  // Execution is over: commit. Updates dirty the cached copies (write-back
+  // happens on recall, forward, or eviction — inter-transaction caching
+  // keeps them here). Every access reports the version it used to the
+  // consistency auditor.
+  const TxnId id = live.t.id;
   const sim::SimTime now = sys_.sim().now();
-  for (const auto& [obj, mode] : live->needs) {
+  for (const auto& [obj, mode] : live.needs) {
     auto duty = duties_.find(obj);
     const bool via_duty = duty != duties_.end() && duty->second.bound == id;
     if (mode == LockMode::kExclusive) {
@@ -1110,7 +980,7 @@ void ClientNode::commit(TxnId id) {
       sys_.auditor().on_read_commit(obj, site_, v, now);
     }
   }
-  update_atl(live->t, sys_.sim().now());
+  update_atl(live.t, sys_.sim().now());
   finish(id, txn::TxnState::kCommitted);
 }
 
@@ -1174,9 +1044,9 @@ void ClientNode::finish(TxnId id, txn::TxnState final_state) {
     }
   }
 
-  if (was_executing && busy_slots_ > 0) --busy_slots_;
+  if (was_executing) exec_.release();
   live_.erase(id);
-  pump_executor();
+  exec_.pump();
 }
 
 // ---------------------------------------------------------------------------
@@ -1519,10 +1389,8 @@ void ClientNode::on_cache_eviction(ObjectId obj, bool dirty,
 
 void ClientNode::on_denied(TxnId txn) {
   cpu_.submit(sys_.cfg().client_msg_overhead, [this, txn] {
-    Live* live = find(txn);
-    if (!live || !txn::is_live(live->t.state)) return;
     // Server-side wait-for-graph refusal: classic deadlock-victim restart.
-    restart_after_deadlock(txn);
+    exec_.restart_victim(txn);
   });
 }
 

@@ -5,13 +5,13 @@
 #include <unordered_set>
 
 #include "common/dense_map.hpp"
+#include "core/local_exec.hpp"
 #include "core/protocol.hpp"
 #include "fault/fault.hpp"
 #include "lock/local_lock_manager.hpp"
 #include "sim/resource.hpp"
 #include "sim/stats.hpp"
 #include "storage/client_cache.hpp"
-#include "txn/edf_queue.hpp"
 #include "txn/transaction.hpp"
 
 /// \file client_node.hpp
@@ -102,8 +102,8 @@ class ClientNode {
   [[nodiscard]] lock::LockMode cached_server_mode(ObjectId obj) const;
 
   // Gauge accessors for the telemetry sampler (read-only snapshots).
-  [[nodiscard]] std::size_t ready_depth() const { return ready_.size(); }
-  [[nodiscard]] std::size_t executing() const { return busy_slots_; }
+  [[nodiscard]] std::size_t ready_depth() const { return exec_.queued(); }
+  [[nodiscard]] std::size_t executing() const { return exec_.busy(); }
   [[nodiscard]] std::size_t forward_duties() const { return duties_.size(); }
 
   void reset_stats();
@@ -124,13 +124,10 @@ class ClientNode {
 
   /// A transaction (or sub-task) living at this client. It runs on
   /// another site's behalf when `origin != site_`.
-  struct Live {
-    txn::Transaction t;
+  struct Live : LocalTxn {
     SiteId origin = kInvalidSite;  ///< where the user submitted it
     TxnId parent = kInvalidTxn;    ///< decomposed original (sub-tasks only)
 
-    std::vector<std::pair<ObjectId, lock::LockMode>> needs;
-    std::size_t local_locks_pending = 0;
     std::unordered_set<ObjectId> awaiting;  ///< waiting on the server
     std::size_t cache_ios = 0;              ///< local disk-tier promotions
 
@@ -143,11 +140,6 @@ class ClientNode {
     std::vector<ObjectId> circulating_used;  ///< forward-duty objects bound
     QueryPurpose pending_query = QueryPurpose::kNone;
     sim::EventId deadline_timer = sim::kNoEvent;
-
-    /// Restart bookkeeping (deadlock-refusal recovery): stale callbacks
-    /// from a previous attempt carry an older epoch and are dropped.
-    std::uint32_t epoch = 0;
-    std::uint32_t restarts = 0;
 
     /// Bounded retransmission of the outstanding request batch (faults).
     fault::RetryLoop retry;
@@ -180,8 +172,6 @@ class ClientNode {
   [[nodiscard]] bool owns_outcome(const Live& live) const {
     return live.origin == site_ && live.parent == kInvalidTxn;
   }
-  void admit_local(TxnId id);
-  void on_local_locks(TxnId id);
   void evaluate_objects(TxnId id);
   void send_batch(Live& live, const std::vector<ObjectNeed>& missing,
                   bool auto_proceed, bool retransmit = false);
@@ -191,16 +181,27 @@ class ClientNode {
   void request_retry_fired(TxnId id, std::uint32_t epoch);
   void need_satisfied(TxnId id, ObjectId obj);
   void maybe_ready(TxnId id);
-  void pump_executor();
-  void commit(TxnId id);
   void handle_deadline(TxnId id);
   /// Tears down a live transaction; records the outcome when this client
   /// is its origin (and notifies the origin when it is not).
   void finish(TxnId id, txn::TxnState final_state);
-  /// Deadlock-refusal recovery: release everything and re-run the local
-  /// pipeline after a backoff. Falls back to finish(kAborted) when the
-  /// retry budget or the deadline is spent.
-  void restart_after_deadlock(TxnId id);
+
+  // LocalExecutor hooks (see local_exec.hpp).
+  friend class LocalExecutor<ClientNode>;
+  Live* find(TxnId id) { return find_live(live_, id); }
+  /// Execution over: commit the accesses and finish.
+  void on_executed(Live& live);
+  /// All local locks held: evaluate the objects against the server.
+  void on_locks_held(Live& live) {
+    if (live.t.state == txn::TxnState::kAcquiring) evaluate_objects(live.t.id);
+  }
+  void count_refusal();
+  /// A deadlock victim restarts: release its local locks, stop its request
+  /// retransmission and forget what the refused attempt was waiting for.
+  void reset_attempt(Live& live);
+  void abort_victim(Live& live) {
+    finish(live.t.id, txn::TxnState::kAborted);
+  }
 
   // --- decisions (LS) -----------------------------------------------------
   [[nodiscard]] bool h1_admits(const txn::Transaction& t) const;
@@ -248,7 +249,6 @@ class ClientNode {
   /// version loss, and local transactions using the object abort.
   void expire_lease(ObjectId obj);
 
-  Live* find(TxnId id);
   void update_atl(const txn::Transaction& t, sim::SimTime commit_time);
 
   ClientServerSystem& sys_;
@@ -303,8 +303,8 @@ class ClientNode {
   };
   PendingReassert reassert_;
 
-  txn::EdfQueue<TxnId> ready_;
-  std::size_t busy_slots_ = 0;
+  /// Local ED scheduler over client_executor_slots, with 2PL over llm_.
+  LocalExecutor<ClientNode> exec_;
 
   /// Observed average transaction latency (H1's ATL_A).
   sim::MeanAccumulator atl_;

@@ -20,8 +20,8 @@ OptimisticSystem::OptimisticSystem(SystemConfig config)
 void OptimisticSystem::start() {
   clients_.reserve(config_.num_clients);
   for (std::size_t i = 0; i < config_.num_clients; ++i) {
-    clients_.push_back(
-        std::make_unique<ClientState>(sim_, config_.client_cache));
+    clients_.push_back(std::make_unique<ClientState>(
+        *this, site_of(ClientId{static_cast<ClientId::Rep>(i + 1)})));
   }
   // Steady-state start: regions cached (copies only — OCC has no locks).
   warm_start(
@@ -29,11 +29,6 @@ void OptimisticSystem::start() {
         clients_[i]->cache.insert(obj, /*dirty=*/false);
       },
       [this](ObjectId obj) { pf_->preload(obj); });
-}
-
-OptimisticSystem::Live* OptimisticSystem::find(TxnId id) {
-  auto it = live_.find(id);
-  return it == live_.end() ? nullptr : it->second.get();
 }
 
 void OptimisticSystem::on_arrival(std::size_t client_index,
@@ -179,39 +174,14 @@ void OptimisticSystem::on_all_fetched(TxnId id) {
     (void)mode;
     live->read_set.emplace_back(obj, cs.cache.version_of(obj));
   }
-  live->t.state = txn::TxnState::kReady;
-  if (tel_.spans_enabled()) tel_.txn_ready(id, sim_.now());
-  if (tel_.events_enabled()) {
-    tel_.event(obs::EventKind::kTxnReady, sim_.now(), live->t.origin, id);
-  }
-  cs.ready.push(id, live->t.deadline);
-  pump_executor(live->client_index);
+  cs.exec.make_ready(live->t);
 }
 
-void OptimisticSystem::pump_executor(std::size_t client_index) {
-  ClientState& cs = *clients_[client_index];
-  while (cs.busy_slots < config_.client_executor_slots) {
-    auto next = cs.ready.pop();
-    if (!next) return;
-    Live* live = find(*next);
-    if (!live || live->t.state != txn::TxnState::kReady) continue;
-    live->t.state = txn::TxnState::kExecuting;
-    ++cs.busy_slots;
-    const TxnId id = *next;
-    if (tel_.spans_enabled()) tel_.txn_exec_start(id, sim_.now());
-    if (tel_.events_enabled()) {
-      tel_.event(obs::EventKind::kTxnExec, sim_.now(), live->t.origin, id);
-    }
-    sim_.after(live->t.length, [this, id] {
-      Live* l = find(id);
-      if (!l || l->t.state != txn::TxnState::kExecuting) return;
-      // Execution done: free the slot and go validate.
-      ClientState& st = state_of(*l);
-      if (st.busy_slots > 0) --st.busy_slots;
-      pump_executor(l->client_index);
-      validate(id);
-    });
-  }
+void OptimisticSystem::on_executed(Live& live) {
+  LocalExecutor<OptimisticSystem>& exec = state_of(live).exec;
+  exec.release();
+  exec.pump();
+  validate(live.t.id);
 }
 
 void OptimisticSystem::validate(TxnId id) {
@@ -400,11 +370,10 @@ void OptimisticSystem::finish(TxnId id, txn::TxnState final_state) {
   sim_.cancel(live->val_timer);
   if (faults_active()) validated_ok_.erase(id);
   resolve(live->t, final_state, live->t.origin);
-  ClientState& cs = state_of(*live);
-  if (was_executing && cs.busy_slots > 0) --cs.busy_slots;
-  const std::size_t client_index = live->client_index;
+  LocalExecutor<OptimisticSystem>& exec = state_of(*live).exec;
+  if (was_executing) exec.release();
   live_.erase(id);
-  pump_executor(client_index);
+  exec.pump();
 }
 
 void OptimisticSystem::on_site_crash(std::size_t client_index) {
@@ -413,11 +382,8 @@ void OptimisticSystem::on_site_crash(std::size_t client_index) {
   // Every transaction hosted here dies with the workstation. Collect and
   // sort first: unordered_map iteration order must not leak into the
   // miss-record (and hence telemetry) order.
-  std::vector<TxnId> gone;
-  for (const auto& [id, l] : live_) {
-    if (l->client_index == client_index) gone.push_back(id);
-  }
-  std::sort(gone.begin(), gone.end());
+  const std::vector<TxnId> gone = sorted_keys(
+      live_, [&](const auto& l) { return l->client_index == client_index; });
   for (const TxnId id : gone) {
     Live* l = find(id);
     sim_.cancel(l->deadline_timer);
@@ -432,8 +398,7 @@ void OptimisticSystem::on_site_crash(std::size_t client_index) {
   const auto dirty = cs.cache.clear();
   assert(dirty.empty());
   (void)dirty;
-  cs.ready.clear();
-  cs.busy_slots = 0;
+  cs.exec.clear();
 }
 
 void OptimisticSystem::on_server_crash() {
@@ -461,8 +426,8 @@ void OptimisticSystem::on_measurement_start() {
 void OptimisticSystem::sample_gauges() {
   std::size_t ready = 0, busy = 0, cached = 0;
   for (const auto& c : clients_) {
-    ready += c->ready.size();
-    busy += c->busy_slots;
+    ready += c->exec.queued();
+    busy += c->exec.busy();
     cached += c->cache.size();
   }
   tel_.sample("occ.ready_depth", static_cast<double>(ready));
@@ -480,7 +445,7 @@ void OptimisticSystem::audit_structures() const {
   pf_->buffer().validate_invariants();
   for (const auto& c : clients_) {
     c->cache.validate_invariants();
-    c->ready.validate_invariants();
+    c->exec.validate_invariants();
   }
 }
 

@@ -5,11 +5,11 @@
 #include <vector>
 
 #include "common/dense_map.hpp"
+#include "core/local_exec.hpp"
 #include "core/system.hpp"
 #include "sim/resource.hpp"
 #include "storage/client_cache.hpp"
 #include "storage/paged_file.hpp"
-#include "txn/edf_queue.hpp"
 
 /// \file optimistic.hpp
 /// OCC-CS-RTDBS — the paper's stated future work ("we intend to study the
@@ -63,29 +63,24 @@ class OptimisticSystem final : public System {
  private:
   /// Per-workstation execution state (no lock manager — that is the point).
   struct ClientState {
-    explicit ClientState(sim::Simulator& sim,
-                         const storage::ClientCacheConfig& cfg)
-        : cache(sim, cfg), cpu(sim) {}
+    ClientState(OptimisticSystem& sys, SiteId site)
+        : cache(sys.sim_, sys.config_.client_cache),
+          exec(sys, sys.sim_, sys.tel_, site,
+               sys.config_.client_executor_slots) {}
     storage::ClientCache cache;
-    sim::SerialResource cpu;
-    txn::EdfQueue<TxnId> ready;
-    std::size_t busy_slots = 0;
+    LocalExecutor<OptimisticSystem> exec;
   };
 
   /// A transaction somewhere in the fetch -> execute -> validate loop.
-  struct Live {
-    txn::Transaction t;
-    /// t.lock_needs(), computed once at arrival: the objects every attempt
-    /// fetches, snapshots and (exclusive ones) writes back.
-    std::vector<std::pair<ObjectId, lock::LockMode>> needs;
+  /// `needs` are the objects every attempt fetches, snapshots and
+  /// (exclusive ones) writes back; `restarts` count validation rejections.
+  struct Live : LocalTxn {
     std::size_t client_index = 0;
     std::size_t fetches_pending = 0;
     std::size_t cache_ios = 0;
     /// (object, version) pairs the execution read (write set included:
     /// OCC validates the read base of every update).
     std::vector<std::pair<ObjectId, std::uint64_t>> read_set;
-    std::uint32_t restarts = 0;
-    std::uint32_t epoch = 0;
     sim::EventId deadline_timer = sim::kNoEvent;
     /// Bounded retransmission of the validate request (faults only): a lost
     /// request or verdict would otherwise strand the commit point. The
@@ -96,7 +91,6 @@ class OptimisticSystem final : public System {
 
   void begin_attempt(TxnId id);
   void on_all_fetched(TxnId id);
-  void pump_executor(std::size_t client_index);
   void validate(TxnId id);
   /// Ships the validate request for the current attempt and (faults only)
   /// arms the bounded retransmission timer.
@@ -117,7 +111,12 @@ class OptimisticSystem final : public System {
   void handle_deadline(TxnId id);
   void finish(TxnId id, txn::TxnState final_state);
 
-  Live* find(TxnId id);
+  // LocalExecutor hooks (see local_exec.hpp).
+  friend class LocalExecutor<OptimisticSystem>;
+  Live* find(TxnId id) { return find_live(live_, id); }
+  /// Execution over: free the slot and go validate.
+  void on_executed(Live& live);
+
   ClientState& state_of(const Live& live) { return *clients_[live.client_index]; }
 
   OccOptions occ_;
