@@ -110,12 +110,15 @@ void ServerNode::process_batch(const ObjectRequestBatch& batch) {
   // circulating copy, or earlier waiters already queued — new arrivals
   // never jump the queue (that would starve queued writers under a steady
   // reader stream; service order is the FCFS/ED queue's business).
+  // While the object circulates, a shared forward-list member is already
+  // registered as a holder but its copy may still be hops away: it is not
+  // covered until that copy has arrived and the circulation has ended.
   std::vector<ObjectNeed> covered;
   std::vector<ObjectNeed> pending;
   std::vector<ObjectNeed> conflicted;
   for (const auto& need : needs) {
     const LockMode held = glt_.holder_mode(need.object, batch.client);
-    if (lock::covers(held, need.mode)) {
+    if (lock::covers(held, need.mode) && !glt_.is_circulating(need.object)) {
       covered.push_back(need);
       continue;
     }
