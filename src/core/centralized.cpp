@@ -143,27 +143,25 @@ void CentralizedSystem::abort_victim(Live& live) {
 
 void CentralizedSystem::on_locks_held(Live& live) {
   // Fault in the pages (buffer hits are near-free, misses queue on the
-  // server disk).
+  // server disk); one join fires when the last page is in.
+  if (live.needs.empty()) return exec_.make_ready(live.t);
   const TxnId id = live.t.id;
-  live.ios_pending = live.needs.size();
   const sim::SimTime io_start = sim_.now();
+  sim::SimTime io_done = io_start;
   for (const auto& [obj, mode] : live.needs) {
-    pf_->access(obj, mode == lock::LockMode::kExclusive,
-                [this, id, io_start] {
-                  Live* l = find(id);
-                  if (!l || !txn::is_live(l->t.state)) return;
-                  if (--l->ios_pending == 0) {
-                    // Wall time of the whole I/O phase (the accesses
-                    // overlap, so summing per-page times would inflate).
-                    if (tel_.spans_enabled()) {
-                      tel_.add_wait(id, obs::WaitBucket::kDisk,
-                                    sim_.now() - io_start);
-                    }
-                    exec_.make_ready(l->t);
-                  }
-                });
+    io_done = std::max(io_done,
+                       pf_->access(obj, mode == lock::LockMode::kExclusive));
   }
-  if (live.ios_pending == 0) exec_.make_ready(live.t);
+  sim_.at(io_done, [this, id, io_start] {
+    Live* l = find(id);
+    if (!l || !txn::is_live(l->t.state)) return;
+    // Wall time of the whole I/O phase (the accesses overlap, so summing
+    // per-page times would inflate).
+    if (tel_.spans_enabled()) {
+      tel_.add_wait(id, obs::WaitBucket::kDisk, sim_.now() - io_start);
+    }
+    exec_.make_ready(l->t);
+  });
 }
 
 void CentralizedSystem::on_executed(Live& live) {

@@ -48,7 +48,6 @@ class CentralizedSystem final : public System {
 
  private:
   struct Live : LocalTxn {
-    std::size_t ios_pending = 0;
     sim::EventId deadline_timer = sim::kNoEvent;
   };
 

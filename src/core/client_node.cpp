@@ -784,7 +784,7 @@ void ClientNode::reset_attempt(Live& live) {
   sys_.sim().cancel(live.retry_timer);
   live.t.state = txn::TxnState::kPending;
   live.awaiting.clear();
-  live.cache_ios = 0;
+  live.cache_io_pending = false;
   live.locks_pending = 0;
   live.pending_query = QueryPurpose::kNone;
 }
@@ -794,26 +794,27 @@ void ClientNode::evaluate_objects(TxnId id) {
   assert(live);
   std::vector<ObjectNeed> missing;
 
-  const std::uint32_t epoch = live->epoch;
+  std::optional<sim::SimTime> io_done;
   for (const auto& [obj, mode] : live->needs) {
     const LockMode smode = cached_server_mode(obj);
     const bool lock_ok = lock::covers(smode, mode);
     // Data touch: counts the paper's cache hit/miss and pays the local
     // memory/disk time when the object is cached.
-    ++live->cache_ios;
-    const bool data_local =
-        cache_.access(obj, /*write=*/false, [this, id, epoch] {
-          Live* l = find(id);
-          if (!l || l->epoch != epoch || !txn::is_live(l->t.state)) return;
-          --l->cache_ios;
-          maybe_ready(id);
-        });
-    if (!data_local) --live->cache_ios;  // miss: no local I/O happens
-
-    if (!lock_ok || !data_local) {
+    const auto local = cache_.access(obj, /*write=*/false);
+    if (local) io_done = std::max(io_done.value_or(*local), *local);
+    if (!lock_ok || !local) {
       live->awaiting.insert(obj);
-      missing.push_back({obj, mode, data_local});
+      missing.push_back({obj, mode, local.has_value()});
     }
+  }
+  if (io_done) {
+    live->cache_io_pending = true;  // one join for the whole local phase
+    sys_.sim().at(*io_done, [this, id, epoch = live->epoch] {
+      Live* l = find(id);
+      if (!l || l->epoch != epoch || !txn::is_live(l->t.state)) return;
+      l->cache_io_pending = false;
+      maybe_ready(id);
+    });
   }
 
   if (!missing.empty()) {
@@ -949,7 +950,7 @@ void ClientNode::maybe_ready(TxnId id) {
   // A pending conflict location reply never blocks readiness: the reply
   // only ever arrives when some need is still awaiting.
   if (live->locks_pending > 0 || !live->awaiting.empty() ||
-      live->cache_ios > 0) {
+      live->cache_io_pending) {
     return;
   }
   exec_.make_ready(live->t);

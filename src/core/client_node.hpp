@@ -129,7 +129,7 @@ class ClientNode {
     TxnId parent = kInvalidTxn;    ///< decomposed original (sub-tasks only)
 
     std::unordered_set<ObjectId> awaiting;  ///< waiting on the server
-    std::size_t cache_ios = 0;              ///< local disk-tier promotions
+    bool cache_io_pending = false;  ///< the local I/O phase's join is due
 
     struct RequestMark {
       sim::SimTime sent_at{};

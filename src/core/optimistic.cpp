@@ -51,7 +51,7 @@ void OptimisticSystem::begin_attempt(TxnId id) {
   live->t.state = txn::TxnState::kAcquiring;  // here: fetching copies
   live->read_set.clear();
   live->fetches_pending = 0;
-  live->cache_ios = 0;
+  live->cache_io_pending = false;
   ClientState& cs = state_of(*live);
   const ClientId site = client_of(live->t.origin);
   const std::uint32_t epoch = live->epoch;
@@ -93,24 +93,14 @@ void OptimisticSystem::begin_attempt(TxnId id) {
     }
   }
 
+  const sim::SimTime io_start = sim_.now();
+  std::optional<sim::SimTime> io_done;
   for (const auto& [obj, mode] : live->needs) {
     (void)mode;
-    ++live->cache_ios;
-    const bool local = cs.cache.access(
-        obj, /*write=*/false,
-        [this, id, epoch, io_start = sim_.now()] {
-          Live* l = find(id);
-          if (!l || l->epoch != epoch || !txn::is_live(l->t.state)) return;
-          if (tel_.spans_enabled()) {
-            // Local-cache page fault (client disk).
-            tel_.add_wait(id, obs::WaitBucket::kDisk, sim_.now() - io_start);
-          }
-          if (--l->cache_ios == 0 && l->fetches_pending == 0) {
-            on_all_fetched(id);
-          }
-        });
-    if (local) continue;
-    --live->cache_ios;
+    if (const auto local = cs.cache.access(obj, /*write=*/false)) {
+      io_done = std::max(io_done.value_or(*local), *local);
+      continue;
+    }
 
     // Plain copy fetch: no lock semantics, no callbacks.
     ++live->fetches_pending;
@@ -154,7 +144,7 @@ void OptimisticSystem::begin_attempt(TxnId id) {
                                 ClientState& st = state_of(*l);
                                 st.cache.insert(obj, /*dirty=*/false, v);
                                 if (--l->fetches_pending == 0 &&
-                                    l->cache_ios == 0) {
+                                    !l->cache_io_pending) {
                                   on_all_fetched(id);
                                 }
                               });
@@ -162,7 +152,21 @@ void OptimisticSystem::begin_attempt(TxnId id) {
                 });
               });
   }
-  if (live->fetches_pending == 0 && live->cache_ios == 0) on_all_fetched(id);
+  if (io_done) {
+    live->cache_io_pending = true;  // one join for the whole local phase
+    sim_.at(*io_done, [this, id, epoch, io_start] {
+      Live* l = find(id);
+      if (!l || l->epoch != epoch || !txn::is_live(l->t.state)) return;
+      if (tel_.spans_enabled()) {
+        // Wall time of the local phase, as CE charges its page faults.
+        tel_.add_wait(id, obs::WaitBucket::kDisk, sim_.now() - io_start);
+      }
+      l->cache_io_pending = false;
+      if (l->fetches_pending == 0) on_all_fetched(id);
+    });
+  } else if (live->fetches_pending == 0) {
+    on_all_fetched(id);
+  }
 }
 
 void OptimisticSystem::on_all_fetched(TxnId id) {

@@ -1,7 +1,6 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/perf.hpp"
 
@@ -97,7 +96,6 @@ std::uint64_t Network::default_bytes(MessageKind kind) const {
 sim::SimTime Network::send_raw(SiteId src, SiteId dst, MessageKind kind,
                                std::uint64_t payload_bytes,
                                sim::Simulator::Callback on_delivery) {
-  assert(on_delivery && "message without a delivery action");
   RTDB_PERF_TIMER(kNetSend);
   RTDB_PERF_ALLOC_SCOPE(kNet);
   if (src == dst) {
@@ -107,7 +105,7 @@ sim::SimTime Network::send_raw(SiteId src, SiteId dst, MessageKind kind,
     const sim::SimTime when = sim_.now() + sim::kTimeEpsilon;
     // rtdb-lint: allow(hot-path-alloc) scheduling reuses slab/heap slots
     // after warm-up; growth only to high-water (census: zero steady-state)
-    sim_.at(when, std::move(on_delivery));
+    if (on_delivery) sim_.at(when, std::move(on_delivery));
     return when;
   }
 
@@ -156,7 +154,7 @@ sim::SimTime Network::send_raw(SiteId src, SiteId dst, MessageKind kind,
 
   // rtdb-lint: allow(hot-path-alloc) scheduling reuses slab/heap slots
   // after warm-up; growth only to high-water (census: zero steady-state)
-  sim_.at(delivery, std::move(on_delivery));
+  if (on_delivery) sim_.at(delivery, std::move(on_delivery));
   return delivery;
 }
 
@@ -165,10 +163,10 @@ sim::SimTime Network::send_batch_raw(SiteId src, SiteId dst, MessageKind kind,
                                      sim::Simulator::Callback on_delivery) {
   if (count == 0) count = 1;
   RTDB_PERF_COUNT(kNetBatchSends);
-  // First count-1 frames only occupy the wire and bump counters; the last
-  // frame carries the delivery action.
+  // First count-1 frames only occupy the wire, bump counters and take their
+  // fault draws; no delivery event: the last frame carries the action.
   for (std::size_t i = 0; i + 1 < count; ++i) {
-    send_raw(src, dst, kind, default_bytes(kind), [] {});
+    send_raw(src, dst, kind, default_bytes(kind), {});
   }
   return send_raw(src, dst, kind, default_bytes(kind), std::move(on_delivery));
 }

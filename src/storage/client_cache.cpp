@@ -1,6 +1,5 @@
 #include "storage/client_cache.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "common/check.hpp"
@@ -50,12 +49,12 @@ void ClientCache::forget(std::uint32_t s) {
   frames_.release(s);
 }
 
-bool ClientCache::access(ObjectId id, bool write, sim::Simulator::Callback done) {
-  assert(done);
+std::optional<sim::SimTime> ClientCache::access(
+    ObjectId id, bool write, sim::Simulator::Callback done) {
   const std::uint32_t* slot = index_.find(id);
   if (slot == nullptr) {
     misses_.inc();
-    return false;
+    return std::nullopt;
   }
   hits_.inc();
   const std::uint32_t s = *slot;
@@ -63,16 +62,16 @@ bool ClientCache::access(ObjectId id, bool write, sim::Simulator::Callback done)
   f.dirty = f.dirty || write;
   if (f.tier == CacheTier::kMemory) {
     frames_.touch(memory_, s);
-    sim_.after(config_.memory_access_time, std::move(done));
-    return true;
+    const sim::SimTime when = sim_.now() + config_.memory_access_time;
+    if (done) sim_.at(when, std::move(done));
+    return when;
   }
   // Disk-tier hit: promote, demoting the memory LRU copy into the place it
   // left (so nothing is evicted); the demotion's write queues before the
   // promotion's read.
   frames_.unlink(disk_tier_, s);
   place_in_memory(s, make_room_in_memory());
-  disk_.read(std::move(done));
-  return true;
+  return disk_.read(std::move(done));
 }
 
 void ClientCache::insert(ObjectId id, bool dirty, std::uint64_t version) {

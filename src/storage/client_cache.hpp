@@ -68,11 +68,11 @@ class ClientCache {
   }
 
   /// Accesses a cached object (counts a hit and promotes it to the memory
-  /// tier, reading from the local disk when it lived in tier 2). `done`
-  /// runs when the object is in memory. Returns false — and counts a miss,
-  /// without invoking `done` — if the object is not cached; the caller then
-  /// fetches it from the server and insert()s it.
-  bool access(ObjectId id, bool write, sim::Simulator::Callback done);
+  /// tier, reading from the local disk when it lived in tier 2). Returns
+  /// when the object is in memory, where `done` (optional) runs; a miss
+  /// (counted) returns nullopt: the caller fetches the object, insert()s it.
+  std::optional<sim::SimTime> access(ObjectId id, bool write,
+                                     sim::Simulator::Callback done = {});
 
   /// Installs a copy fetched from the server, at `version`, into the memory
   /// tier, cascading demotions/evictions. A copy already cached is refreshed

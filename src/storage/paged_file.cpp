@@ -1,7 +1,5 @@
 #include "storage/paged_file.hpp"
 
-#include <cassert>
-
 namespace rtdb::storage {
 
 void PagedFile::install(ObjectId id, bool dirty) {
@@ -11,13 +9,14 @@ void PagedFile::install(ObjectId id, bool dirty) {
   }
 }
 
-void PagedFile::access(ObjectId id, bool write, sim::Simulator::Callback done) {
-  assert(done);
+sim::SimTime PagedFile::access(ObjectId id, bool write,
+                              sim::Simulator::Callback done) {
   const PageId page = page_of(id);
   if (buffer_.reference(page)) {
     if (write) buffer_.mark_dirty(page);
-    sim_.after(config_.memory_access_time, std::move(done));
-    return;
+    const sim::SimTime when = sim_.now() + config_.memory_access_time;
+    if (done) sim_.at(when, std::move(done));
+    return when;
   }
   // Miss: eviction decision happens now; the displaced dirty page's
   // write-back occupies the disk ahead of our read (the PF buffer manager
@@ -26,7 +25,7 @@ void PagedFile::access(ObjectId id, bool write, sim::Simulator::Callback done) {
   if (evicted && evicted->dirty) {
     disk_.write();
   }
-  disk_.read(std::move(done));
+  return disk_.read(std::move(done));
 }
 
 }  // namespace rtdb::storage

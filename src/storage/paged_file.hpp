@@ -39,10 +39,11 @@ class PagedFile {
   PagedFile(const PagedFile&) = delete;
   PagedFile& operator=(const PagedFile&) = delete;
 
-  /// Reads (or updates, when `write`) one page; `done` runs when the page
-  /// is available in memory. Buffer hit: memory_access_time. Miss: queue a
-  /// disk read; a displaced dirty page also queues its write-back.
-  void access(ObjectId id, bool write, sim::Simulator::Callback done);
+  /// Reads (or updates, when `write`) one page; returns when the page is in
+  /// memory, where `done` (optional) runs. Buffer hit: memory_access_time.
+  /// Miss: a disk read, behind a displaced dirty page's write-back.
+  sim::SimTime access(ObjectId id, bool write,
+                      sim::Simulator::Callback done = {});
 
   /// Pre-loads a page as resident and clean without any timing (used to
   /// model a warm server at the start of a run).

@@ -309,7 +309,8 @@ TEST_P(CacheModel, TwoTierInvariantsUnderRandomTraffic) {
     if (dice < 0.40) {
       const bool write = rng.bernoulli(0.3);
       sim::SimTime done{-1.0};
-      const bool hit = cache.access(id, write, [&] { done = sim.now(); });
+      const bool hit =
+          cache.access(id, write, [&] { done = sim.now(); }).has_value();
       const auto expect_done = ref.access(id, write);
       ASSERT_EQ(hit, expect_done.has_value()) << "step " << step;
       sim.run();
