@@ -20,13 +20,16 @@ and its median beats the parent's by more than the parent's interquartile
 range), and whether the change is worse than the metric's bound (read as a
 fraction of the parent's median, as perfbench/README.md compares bounds
 with spreads). It also says whether every run printed the same
-deterministic `facts:` line (events, transactions, messages).
+deterministic `facts:` line (events, transactions, messages); when not, it
+prints each distinct line with the side and the number of runs that printed
+it, and names the fields that differ.
 
 Exit status: 0 when every run reports `correct: true`, 1 when any run
 reports `correct: false`, 2 when a run fails to produce a report.
 """
 
 import argparse
+import collections
 import json
 import os
 import statistics
@@ -57,6 +60,31 @@ def run_once(checkout, args):
     return json.loads(lines[-1]), facts
 
 
+def fact_fields(line):
+    """The `key=value` fields of a `facts:` line, in order."""
+    return dict(f.split("=", 1) for f in line.split()[1:] if "=" in f)
+
+
+def facts_report(facts):
+    """Text saying whether every run printed the same `facts:` line; if not,
+    each distinct line labelled with its side and run count, and the fields
+    whose values differ."""
+    lines = {line for side in facts for line in facts[side]}
+    if len(lines) == 1:
+        return "facts identical on every run: yes"
+    out = ["facts identical on every run: NO"]
+    for side in ("parent", "change"):
+        for line, runs in sorted(facts[side].items()):
+            out.append(f"  {side} ({runs} run{'s' if runs != 1 else ''}): "
+                       f"{line}")
+    parsed = [fact_fields(line) for line in lines]
+    keys = list(dict.fromkeys(k for p in parsed for k in p))
+    differing = [k for k in keys if len({p.get(k) for p in parsed}) > 1]
+    out.append("  fields that differ: " + (", ".join(differing) or "none "
+                                           "(the lines differ in layout)"))
+    return "\n".join(out)
+
+
 def better(metric, change, parent):
     if metric["better"] == "lower":
         return change < parent
@@ -78,7 +106,8 @@ def main():
 
     sides = {"parent": args.parent_dir, "change": args.change_dir}
     reports = {"parent": [], "change": []}
-    facts = set()
+    facts = {"parent": collections.Counter(),
+             "change": collections.Counter()}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
@@ -88,7 +117,7 @@ def main():
                 print(f"perfbench_ab: {e}", file=sys.stderr)
                 return 2
             reports[side].append(report)
-            facts.add(fact_line)
+            facts[side][fact_line] += 1
             values = " ".join(
                 f"{m['name']}={report['metrics'][m['name']]['value']:.6g}"
                 for m in metrics)
@@ -115,8 +144,7 @@ def main():
               f"(IQR {c25:.6g}-{c75:.6g}); change won {wins}/{len(par)}; "
               f"gain rule {'holds' if gain else 'does not hold'}; "
               f"{'WORSE than bound' if worse else 'within bound'}")
-    print("facts identical on every run: " +
-          ("yes" if len(facts) == 1 else "NO\n  " + "\n  ".join(sorted(facts))))
+    print(facts_report(facts))
     for side in ("parent", "change"):
         failed = sum(r["failed"] for r in reports[side])
         attempted = sum(r["attempted"] for r in reports[side])

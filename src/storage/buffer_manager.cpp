@@ -111,14 +111,6 @@ std::optional<Id> LruBuffer<Id>::lru_victim() const {
   return frames_[lru_.tail].id;
 }
 
-template <class Id>
-std::vector<Id> LruBuffer<Id>::resident_pages() const {
-  std::vector<Id> pages;
-  pages.reserve(index_.size());
-  frames_.for_each(lru_, [&](const Frame& f) { pages.push_back(f.id); });
-  return pages;
-}
-
 template class LruBuffer<PageId>;
 
 }  // namespace rtdb::storage

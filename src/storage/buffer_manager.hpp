@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/flat_hash.hpp"
 #include "common/ids.hpp"
@@ -83,9 +82,6 @@ class LruBuffer {
 
   /// Least-recently-used resident entry (the next eviction victim), if any.
   [[nodiscard]] std::optional<Id> lru_victim() const;
-
-  /// Resident ids in MRU-to-LRU order (diagnostics/audits).
-  [[nodiscard]] std::vector<Id> resident_pages() const;
 
   /// Invariant audit: residency never exceeds capacity, and the id index
   /// and the LRU list describe exactly the same frames (the pin-balance

@@ -312,6 +312,44 @@ TEST(ProtocolScenario, UpgradeDeadlockResolvedByRestart) {
   EXPECT_EQ(sys.live_metrics().missed, 0u);
 }
 
+/// Instant of the first `kind` event of `txn`; kUnsetTime if none.
+sim::SimTime first_event(const System& sys, obs::EventKind kind, TxnId txn) {
+  for (const auto& e : sys.telemetry().events()) {
+    if (e.kind == kind && e.txn == txn) return e.t;
+  }
+  return obs::kUnsetTime;
+}
+
+TEST(ProtocolScenario, LocalIoPhaseEndsAtTheDiskReadBehindTheDemotion) {
+  auto cfg = quiet_cfg(2, false);
+  cfg.telemetry.events = true;
+  cfg.client_cache.memory_capacity = 2;
+  cfg.client_cache.disk_capacity = 2;
+  ClientServerSystem sys(cfg);
+  sys.bootstrap();
+  sys.client(ClientId{1}).on_new_transaction(
+      make_txn(TxnId{1001}, SiteId{1}, sim::SimTime{0},
+               {{ObjectId{7}, false}, {ObjectId{8}, false},
+                {ObjectId{9}, false}}));
+  sys.simulator().run_until(sim::SimTime{30});
+  const storage::ClientCache& cache = sys.client(ClientId{1}).cache();
+  ASSERT_EQ(cache.tier_of(ObjectId{7}), storage::CacheTier::kDisk);
+  ASSERT_EQ(cache.tier_of(ObjectId{9}), storage::CacheTier::kMemory);
+  ASSERT_EQ(cache.resident(storage::CacheTier::kMemory).size(), 2u);
+
+  // 9 is a memory hit; 7 is a disk-tier hit whose read queues behind the
+  // write demoting the memory LRU copy. Both locks are cached: no traffic.
+  sys.client(ClientId{1}).on_new_transaction(
+      make_txn(TxnId{1002}, SiteId{1}, sim::SimTime{30},
+               {{ObjectId{7}, false}, {ObjectId{9}, false}}));
+  sys.simulator().run_until(sim::SimTime{60});
+  const storage::DiskConfig& disk = cfg.client_cache.disk;
+  EXPECT_EQ(first_event(sys, obs::EventKind::kTxnReady, TxnId{1002}),
+            sim::SimTime{30} + disk.write_time + disk.read_time);
+  EXPECT_NE(first_event(sys, obs::EventKind::kTxnCommit, TxnId{1002}),
+            obs::kUnsetTime);
+}
+
 TEST(ProtocolScenario, SharedFanOutDeliversCopiesToAllReaders) {
   auto cfg = quiet_cfg(4, true);
   ClientServerSystem sys(cfg);

@@ -125,6 +125,70 @@ TEST(Network, SendBatchCountsEachFrameDeliversOnce) {
   EXPECT_EQ(net.stats().messages(MessageKind::kObjectRequest), 5u);
 }
 
+TEST(Network, SendBatchIsOneEventAtTheLastFramesInstant) {
+  constexpr std::size_t kFrames = 4;
+  sim::Simulator ref_sim;
+  Network ref(ref_sim, fast_config());
+  sim::SimTime last{};
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    last = ref.send<MessageKind::kObjectRequest>(ClientId{1}, kServer, [] {});
+  }
+
+  sim::Simulator sim;
+  Network net(sim, fast_config());
+  sim::SimTime delivered{-1.0};
+  const sim::SimTime when = net.send_batch<MessageKind::kObjectRequest>(
+      ClientId{1}, kServer, kFrames, [&] { delivered = sim.now(); });
+  EXPECT_EQ(sim.pending_events(), 1u);  // the first frames carry no event
+  EXPECT_EQ(net.stats().messages(MessageKind::kObjectRequest), kFrames);
+  EXPECT_EQ(net.stats().bytes(MessageKind::kObjectRequest),
+            ref.stats().bytes(MessageKind::kObjectRequest));
+  EXPECT_EQ(when, last);
+  sim.run();
+  EXPECT_EQ(delivered, last);
+}
+
+/// Drops every even-numbered frame and duplicates every odd one, counting
+/// the verdicts it hands out.
+class AlternatingFaults final : public FaultHook {
+ public:
+  FaultVerdict judge(SiteId, SiteId, MessageKind, sim::SimTime) override {
+    FaultVerdict v;
+    v.drop = judged % 2 == 0;
+    v.duplicate = !v.drop;
+    ++judged;
+    return v;
+  }
+  bool judge_delivery(SiteId, sim::SimTime) override {
+    ++delivery_judged;
+    return true;
+  }
+  void on_duplicate_suppressed() override { ++duplicates; }
+
+  int judged = 0;
+  int delivery_judged = 0;
+  int duplicates = 0;
+};
+
+TEST(Network, SendBatchJudgesEveryFrame) {
+  sim::Simulator sim;
+  Network net(sim, fast_config());
+  AlternatingFaults faults;
+  net.set_fault_hook(&faults);
+  int deliveries = 0;
+  net.send_batch<MessageKind::kObjectRequest>(ClientId{1}, kServer, 4,
+                                              [&] { ++deliveries; });
+  // Frames 0 and 2 are lost; 1 and 3 are duplicated, and 3 carries the
+  // action. Every duplicate still crosses the wire and arrives.
+  EXPECT_EQ(faults.judged, 4);
+  EXPECT_EQ(faults.delivery_judged, 2);
+  EXPECT_EQ(net.stats().messages(MessageKind::kObjectRequest), 6u);
+  EXPECT_EQ(sim.pending_events(), 3u);  // two duplicates + one delivery
+  sim.run();
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(faults.duplicates, 2);
+}
+
 TEST(Network, SendBatchZeroBehavesAsOne) {
   sim::Simulator sim;
   Network net(sim, fast_config());

@@ -178,6 +178,36 @@ TEST(ClientCache, AccessMissCountsWithoutCallback) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
+TEST(ClientCache, AccessReturnsTheCompletionInstant) {
+  sim::Simulator sim;
+  ClientCache cache(sim, cfg(2, 2));
+  for (ObjectId i{1}; i <= ObjectId{3}; ++i) cache.insert(i);
+  // memory: 3 2   disk: 1 — the memory tier is full.
+  sim.after(sim::seconds(1.0), [] {});  // let the demotion write drain
+  sim.run();
+  const sim::SimTime start = sim.now();
+  EXPECT_EQ(cache.access(ObjectId{3}, false),
+            start + sim::seconds(0.0001));
+  // The promotion's read queues behind the write demoting 2.
+  EXPECT_EQ(cache.access(ObjectId{1}, false),
+            start + sim::seconds(0.008) + sim::seconds(0.008));
+  EXPECT_EQ(cache.access(ObjectId{9}, false), std::nullopt);
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 1u);
+}
+
+TEST(ClientCache, AccessWithoutCallbackSchedulesNothing) {
+  sim::Simulator sim;
+  ClientCache cache(sim, cfg(1, 2));
+  cache.insert(ObjectId{1});
+  cache.insert(ObjectId{2});  // 1 -> disk tier
+  ASSERT_TRUE(cache.access(ObjectId{2}, false));  // memory hit
+  ASSERT_TRUE(cache.access(ObjectId{1}, true));   // disk-tier hit
+  EXPECT_FALSE(cache.access(ObjectId{9}, false));  // miss
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_TRUE(cache.is_dirty(ObjectId{1}));
+}
+
 TEST(ClientCache, WriteAccessDirties) {
   sim::Simulator sim;
   ClientCache cache(sim, cfg());

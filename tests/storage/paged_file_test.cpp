@@ -78,6 +78,22 @@ TEST(PagedFile, WriteBackDelaysSubsequentRead) {
   EXPECT_DOUBLE_EQ(done.sec(), 0.008 + 0.008 + 0.008);
 }
 
+TEST(PagedFile, AccessReturnsTheCompletionInstant) {
+  sim::Simulator sim;
+  PagedFile pf(sim, small_cfg(1));
+  pf.preload(ObjectId{1});
+  sim.after(sim::seconds(1.0), [] {});
+  sim.run();
+  const sim::SimTime start = sim.now();
+  EXPECT_EQ(pf.access(ObjectId{1}, true), start + sim::seconds(0.0001));
+  // Miss: the read queues behind the write-back of dirty page 1.
+  EXPECT_EQ(pf.access(ObjectId{2}, false),
+            start + sim::seconds(0.008) + sim::seconds(0.008));
+  EXPECT_EQ(sim.pending_events(), 0u);  // no callback, no event
+  EXPECT_EQ(pf.disk().writes(), 1u);
+  EXPECT_EQ(pf.disk().reads(), 1u);
+}
+
 TEST(PagedFile, InstallPlacesPageWithoutRead) {
   sim::Simulator sim;
   PagedFile pf(sim, small_cfg());

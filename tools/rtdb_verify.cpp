@@ -185,12 +185,16 @@ struct Options {
   /// WILL_FAIL gate: run the server chaos schedules with recovery disabled
   /// (the restarted server serves from an empty lock table).
   bool no_recovery = false;
+  /// LS only: serve the server's request queues FCFS instead of in
+  /// earliest-deadline order (rtdbctl's --no-ed).
+  bool no_ed = false;
   std::string dump_schedules;  ///< write schedule descriptions here ("" = off)
 };
 
 core::SystemConfig make_config(const Options& opt) {
   core::SystemConfig cfg;
   cfg.ls = core::LsOptions::all();
+  cfg.ls.ed_request_scheduling = !opt.no_ed;
   cfg.num_clients = opt.clients;
   cfg.workload.update_fraction = opt.updates / 100.0;
   cfg.seed = opt.seed;
@@ -549,6 +553,8 @@ void usage() {
       "                              from an empty lock table) — the\n"
       "                              WILL_FAIL gate proving recovery is what\n"
       "                              keeps the ledgers clean\n"
+      "  --no-ed                     LS: serve request queues FCFS, not in\n"
+      "                              earliest-deadline order (as rtdbctl)\n"
       "  --dump-schedules FILE       write the chaos schedule library to\n"
       "                              FILE (CI failure artifact)\n"
       "  --help                      this text\n"
@@ -627,6 +633,8 @@ bool parse(int argc, char** argv, Options& opt) {
       opt.check_perf = false;
     } else if (!std::strcmp(a, "--no-recovery")) {
       opt.no_recovery = true;
+    } else if (!std::strcmp(a, "--no-ed")) {
+      opt.no_ed = true;
     } else if (!std::strcmp(a, "--dump-schedules")) {
       opt.dump_schedules = need(i);
     } else {
